@@ -11,18 +11,17 @@ oracle, and every oracle guards its own degree cutoffs.
 from .campaign import (CampaignConfig, CampaignSummary, ChainResult, ChainStep,
                        build_chain, run_campaign)
 from .errors import FormulaNotApplicable, OracleError
-from .formulas import (CHECK_NAMES, CurveReport, blowup_differential_colength,
-                       chain_drop_sum, ci_drop_lower_bound,
-                       complete_intersection_torsion, drop_formula_for,
-                       full_report, general_drop, nice_aci_drop,
-                       normalization_differential_colength, stable_ci_drop)
+from .formulas import (CHECK_NAMES, CurveReport, chain_drop_sum,
+                       ci_drop_lower_bound, complete_intersection_torsion,
+                       drop_formula_for, full_report, general_drop,
+                       nice_aci_drop, normalization_differential_colength,
+                       stable_ci_drop)
 from .ideals import (IdealError, ValueSet, complementary_module,
                      dedekind_different, different_inverse_gap,
                      fitting_minor_degrees, inverse, kaehler_different,
                      make_value_set, quotient_length, value_set_of)
 from .oracle import (GradedDimensionLedger, RelationModuleLengths,
                      TorsionResult, colength_via_derivative_spans,
-                     differential_dims_of_curve,
                      differential_dims_of_transform, exactness_defect,
                      genus_via_derivative_spans, relation_module_lengths,
                      relative_differential_dims, torsion_length)
@@ -42,12 +41,11 @@ __all__ = [
     "FormulaNotApplicable", "GeneratorTuple", "GradedDimensionLedger",
     "IdealError", "NumericalSemigroup", "OracleError", "Presentation",
     "PresentationError", "RelationModuleLengths", "SemigroupError",
-    "TorsionResult", "ValueSet", "apery_set", "blowup",
-    "blowup_differential_colength", "blowup_presentation", "build_chain",
-    "chain_drop_sum", "ci_drop_lower_bound", "classify_transform", "colength",
-    "colength_via_derivative_spans", "complementary_module",
-    "complete_intersection_torsion", "dedekind_different", "deviation",
-    "different_inverse_gap", "differential_dims_of_curve",
+    "TorsionResult", "ValueSet", "apery_set", "blowup", "blowup_presentation",
+    "build_chain", "chain_drop_sum", "ci_drop_lower_bound",
+    "classify_transform", "colength", "colength_via_derivative_spans",
+    "complementary_module", "complete_intersection_torsion",
+    "dedekind_different", "deviation", "different_inverse_gap",
     "differential_dims_of_transform", "drop_formula_for", "enumerate_by_genus",
     "exactness_defect", "factorizations", "fitting_minor_degrees",
     "from_generators", "full_report", "general_drop",

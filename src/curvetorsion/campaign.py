@@ -12,12 +12,18 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .errors import OracleError
+from .errors import FormulaNotApplicable, OracleError
 from .formulas import CurveReport, drop_formula_for, full_report
+from .ideals import IdealError
 from .oracle import torsion_length
-from .presentation import classify_transform
-from .semigroup import NumericalSemigroup, blowup, enumerate_by_genus, \
-    from_generators
+from .presentation import PresentationError, classify_transform
+from .semigroup import NumericalSemigroup, SemigroupError, blowup, \
+    enumerate_by_genus, from_generators
+
+# Failures of the computation rather than of an identity: a sweep records
+# them per curve, and the command line exits 1 on them.
+_DOMAIN_ERRORS = (SemigroupError, PresentationError, IdealError, OracleError,
+                  FormulaNotApplicable)
 
 
 @dataclass(frozen=True)
@@ -90,13 +96,13 @@ class CampaignSummary:
 
 
 def _examine(args: tuple[tuple[int, ...], bool]):
-    """Worker: build one report, trapping oracle failures as data."""
+    """Worker: build one report, trapping domain errors as data."""
     generators, reverse_tiebreak = args
     S = from_generators(generators)
     try:
         return "ok", full_report(S, reverse_tiebreak)
-    except OracleError as exc:
-        return "error", generators, str(exc)
+    except _DOMAIN_ERRORS as exc:
+        return "error", generators, f"{type(exc).__name__}: {exc}"
 
 
 def run_campaign(config: CampaignConfig

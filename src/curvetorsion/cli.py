@@ -13,19 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from itertools import chain as chained
 
 import click
 
-from .campaign import CampaignConfig, ChainResult, build_chain, run_campaign
-from .errors import FormulaNotApplicable, OracleError
+from .campaign import (_DOMAIN_ERRORS, CampaignConfig, ChainResult,
+                       build_chain, run_campaign)
 from .formulas import CurveReport, full_report
-from .ideals import IdealError, kaehler_different
-from .presentation import (PresentationError, blowup_presentation,
-                           presentation_of)
-from .semigroup import SemigroupError, enumerate_by_genus, from_generators
-
-_DOMAIN_ERRORS = (SemigroupError, PresentationError, IdealError, OracleError,
-                  FormulaNotApplicable)
+from .semigroup import enumerate_by_genus, from_generators
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["human", "jsonl", "csv"]),
@@ -57,58 +52,84 @@ def _curve_label(generators) -> str:
     return "<" + ",".join(str(g) for g in generators) + ">"
 
 
-def _render_human(report: CurveReport, reverse_tiebreak: bool) -> None:
-    r = report
-    echo = click.echo
-    echo(f"curve {_curve_label(r.generators)}")
-    echo(f"  multiplicity {r.multiplicity}, embedding dimension "
-         f"{r.embedding_dimension}, genus {r.genus}")
-    echo(f"  frobenius {r.frobenius}, conductor {r.conductor}, "
-         f"symmetric {'yes' if r.symmetric else 'no'}")
-    echo(f"  classification: {r.classification} "
-         f"(deviation {r.deviation} -> {r.blowup_deviation})")
-    echo(f"  transform {_curve_label(r.blowup_generators)}, "
-         f"colength {r.colength}")
-    S = from_generators(r.generators)
+def _csv_label(generators) -> str:
+    return " ".join(str(g) for g in generators)
+
+
+def _human_lines(r: CurveReport):
+    yield f"curve {_curve_label(r.generators)}"
+    yield (f"  multiplicity {r.multiplicity}, embedding dimension "
+           f"{r.embedding_dimension}, genus {r.genus}")
+    yield (f"  frobenius {r.frobenius}, conductor {r.conductor}, "
+           f"symmetric {'yes' if r.symmetric else 'no'}")
+    yield (f"  classification: {r.classification} "
+           f"(deviation {r.deviation} -> {r.blowup_deviation})")
+    yield (f"  transform {_curve_label(r.blowup_generators)}, "
+           f"colength {r.colength}")
     if r.embedding_dimension > 1:
-        pres = presentation_of(S, reverse_tiebreak)
-        bpres = blowup_presentation(S, reverse_tiebreak)
-        echo(f"  relations: {pres.mu} of degrees "
-             f"{' '.join(str(d) for d in pres.betti_degrees)}; "
-             f"transform tuple needs {bpres.mu}")
-        echo(f"  derivative different {kaehler_different(S, pres)}, "
-             f"inverse different gap {r.different_inverse_gap}")
-    echo(f"  torsion length {r.torsion_length}, after transform "
-         f"{r.blowup_torsion_length}, drop {r.torsion_drop}")
-    echo(f"  differential dims over parameter line: {r.differential_total} "
-         f"here, {r.blowup_differential_total} after transform")
+        yield (f"  relations: {len(r.relation_degrees)} of degrees "
+               f"{' '.join(str(d) for d in r.relation_degrees)}; "
+               f"transform tuple needs {r.blowup_relation_count}")
+        yield (f"  derivative different {r.kaehler_different}, "
+               f"inverse different gap {r.different_inverse_gap}")
+    yield (f"  torsion length {r.torsion_length}, after transform "
+           f"{r.blowup_torsion_length}, drop {r.torsion_drop}")
+    yield (f"  differential dims over parameter line: {r.differential_total} "
+           f"here, {r.blowup_differential_total} after transform")
     if r.blowup_over_rescaled is not None:
-        echo(f"  module lengths: blowup/rescaled {r.blowup_over_rescaled}, "
-             f"blowup/lifted {r.blowup_over_lifted}, lifted/rescaled "
-             f"{r.lifted_over_rescaled}, rescaled/original "
-             f"{r.rescaled_over_original}")
-    echo("  checks:")
+        yield (f"  module lengths: blowup/rescaled {r.blowup_over_rescaled}, "
+               f"blowup/lifted {r.blowup_over_lifted}, lifted/rescaled "
+               f"{r.lifted_over_rescaled}, rescaled/original "
+               f"{r.rescaled_over_original}")
+    yield "  checks:"
     for name, value in r.checks.items():
-        echo(f"    {_check_mark(value)} {name}")
-    echo(f"result: {'PASS' if r.all_pass else 'FAIL'}")
+        yield f"    {_check_mark(value)} {name}"
+    yield f"result: {'PASS' if r.all_pass else 'FAIL'}"
 
 
-def _render_jsonl(report: CurveReport) -> None:
-    click.echo(json.dumps(report.to_dict(), separators=(", ", ": ")))
+def _verify_line(r: CurveReport) -> str:
+    line = (f"{'PASS' if r.all_pass else 'FAIL'} "
+            f"{_curve_label(r.generators)} genus {r.genus} "
+            f"{r.classification} torsion {r.torsion_length} "
+            f"drop {r.torsion_drop}")
+    failed = [n for n, ok in r.checks.items() if ok is False]
+    if failed:
+        line += " [" + " ".join(failed) + "]"
+    return line
 
 
 _CSV_HEADER = ("generators", "classification", "check", "result")
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _csv_rows(reports):
+    for r in reports:
+        gens = _csv_label(r.generators)
+        for name, value in r.checks.items():
+            result = "na" if value is None else ("pass" if value else "fail")
+            yield gens, r.classification, name, result
 
 
-def _render_csv_rows(writer, report: CurveReport) -> None:
-    gens = " ".join(str(g) for g in report.generators)
-    for name, value in report.checks.items():
-        result = "na" if value is None else ("pass" if value else "fail")
-        writer.writerow((gens, report.classification, name, result))
+def _emit(fmt: str, lines, records, header, rows, notes=()) -> None:
+    """Write one command's output in the chosen format.
+
+    lines, records and rows are lazy iterables of the human lines, the
+    JSON records and the CSV rows under header; only the chosen format's
+    is consumed.  Human lines carry their own closing summary.  Machine
+    formats keep stdout pure, so their closing notes go to stderr.
+    """
+    if fmt == "human":
+        for line in lines:
+            click.echo(line)
+        return
+    if fmt == "jsonl":
+        for record in records:
+            click.echo(json.dumps(record, separators=(", ", ": ")))
+    else:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    for line in notes:
+        click.echo(line, err=True)
 
 
 def _summary_lines(summary) -> list[str]:
@@ -144,16 +165,10 @@ def _summary_lines(summary) -> list[str]:
 def analyze(ctx, generators: tuple[int, ...], fmt: str,
             reverse_tiebreak: bool) -> None:
     """Verify every applicable identity for one curve."""
-    S = from_generators(generators)
-    report = full_report(S, reverse_tiebreak)
-    if fmt == "human":
-        _render_human(report, reverse_tiebreak)
-    elif fmt == "jsonl":
-        _render_jsonl(report)
-    else:
-        writer = _csv_writer()
-        writer.writerow(_CSV_HEADER)
-        _render_csv_rows(writer, report)
+    report = full_report(from_generators(generators), reverse_tiebreak)
+    _emit(fmt, lines=_human_lines(report),
+          records=map(CurveReport.to_dict, [report]),
+          header=_CSV_HEADER, rows=_csv_rows([report]))
     if not report.all_pass:
         ctx.exit(2)
 
@@ -178,31 +193,10 @@ def verify(ctx, max_genus: int, max_multiplicity: int | None, jobs: int,
                             jobs=jobs, fail_fast=fail_fast,
                             reverse_tiebreak=reverse_tiebreak)
     summary, reports = run_campaign(config)
-    if fmt == "human":
-        for report in reports:
-            status = "PASS" if report.all_pass else "FAIL"
-            line = (f"{status} {_curve_label(report.generators)} "
-                    f"genus {report.genus} {report.classification} "
-                    f"torsion {report.torsion_length} "
-                    f"drop {report.torsion_drop}")
-            failed = [n for n, ok in report.checks.items() if ok is False]
-            if failed:
-                line += " [" + " ".join(failed) + "]"
-            click.echo(line)
-        for line in _summary_lines(summary):
-            click.echo(line)
-    elif fmt == "jsonl":
-        for report in reports:
-            _render_jsonl(report)
-        for line in _summary_lines(summary):
-            click.echo(line, err=True)
-    else:
-        writer = _csv_writer()
-        writer.writerow(_CSV_HEADER)
-        for report in reports:
-            _render_csv_rows(writer, report)
-        for line in _summary_lines(summary):
-            click.echo(line, err=True)
+    notes = _summary_lines(summary)
+    _emit(fmt, lines=chained(map(_verify_line, reports), notes),
+          records=map(CurveReport.to_dict, reports),
+          header=_CSV_HEADER, rows=_csv_rows(reports), notes=notes)
     if summary.oracle_errors:
         ctx.exit(1)
     if summary.violations:
@@ -219,35 +213,34 @@ def enumerate_cmd(max_genus: int, max_multiplicity: int | None,
                   fmt: str) -> None:
     """List the corpus of curves up to a genus bound."""
     counts: dict[int, int] = {}
-    writer = None
-    if fmt == "csv":
-        writer = _csv_writer()
-        writer.writerow(("generators", "genus", "multiplicity",
-                         "embedding_dimension", "symmetric"))
-    for S in enumerate_by_genus(max_genus):
-        if max_multiplicity is not None and S.multiplicity > max_multiplicity:
-            continue
-        counts[S.genus] = counts.get(S.genus, 0) + 1
-        if fmt == "human":
-            click.echo(f"{_curve_label(S.min_generators)} genus {S.genus} "
-                       f"multiplicity {S.multiplicity} embdim {S.embdim}"
-                       + (" symmetric" if S.is_symmetric else ""))
-        elif fmt == "jsonl":
-            click.echo(json.dumps({
-                "generators": list(S.min_generators),
-                "genus": S.genus,
-                "multiplicity": S.multiplicity,
-                "embedding_dimension": S.embdim,
-                "symmetric": S.is_symmetric,
-            }, separators=(", ", ": ")))
-        else:
-            writer.writerow((" ".join(str(g) for g in S.min_generators),
-                             S.genus, S.multiplicity, S.embdim,
-                             "yes" if S.is_symmetric else "no"))
-    lines = [f"genus {g}: {c} curves" for g, c in sorted(counts.items())]
-    lines.append(f"total: {sum(counts.values())} curves")
-    for line in lines:
-        click.echo(line, err=fmt != "human")
+
+    def corpus():
+        for S in enumerate_by_genus(max_genus):
+            if max_multiplicity is None or S.multiplicity <= max_multiplicity:
+                counts[S.genus] = counts.get(S.genus, 0) + 1
+                yield S
+
+    def totals():
+        for g, c in sorted(counts.items()):
+            yield f"genus {g}: {c} curves"
+        yield f"total: {sum(counts.values())} curves"
+
+    _emit(fmt,
+          lines=chained((f"{_curve_label(S.min_generators)} genus {S.genus} "
+                         f"multiplicity {S.multiplicity} embdim {S.embdim}"
+                         + (" symmetric" if S.is_symmetric else "")
+                         for S in corpus()), totals()),
+          records=({"generators": list(S.min_generators),
+                    "genus": S.genus,
+                    "multiplicity": S.multiplicity,
+                    "embedding_dimension": S.embdim,
+                    "symmetric": S.is_symmetric} for S in corpus()),
+          header=("generators", "genus", "multiplicity",
+                  "embedding_dimension", "symmetric"),
+          rows=((_csv_label(S.min_generators), S.genus, S.multiplicity,
+                 S.embdim, "yes" if S.is_symmetric else "no")
+                for S in corpus()),
+          notes=totals())
 
 
 @cli.command()
@@ -261,36 +254,23 @@ def chain(ctx, generators: tuple[int, ...], fmt: str,
     """Transform down to a regular curve, telescoping the formula drops."""
     S = from_generators(generators)
     result: ChainResult = build_chain(S, reverse_tiebreak)
-    if fmt == "human":
-        for step in result.steps:
-            click.echo(f"{_curve_label(step.generators)} "
-                       f"{step.classification}: {step.formula_name} "
-                       f"predicts drop {step.formula_drop}")
-        click.echo(f"telescoped drops: {result.telescoped_total}")
-        click.echo(f"torsion length at start: {result.start_torsion}")
-        click.echo("telescopes: "
-                   + ("yes" if result.telescopes else "NO"))
-    elif fmt == "jsonl":
-        for step in result.steps:
-            click.echo(json.dumps({
-                "generators": list(step.generators),
-                "classification": step.classification,
-                "formula": step.formula_name,
-                "drop": step.formula_drop,
-            }, separators=(", ", ": ")))
-        click.echo(f"telescoped drops: {result.telescoped_total}", err=True)
-        click.echo(f"torsion length at start: {result.start_torsion}",
-                   err=True)
-    else:
-        writer = _csv_writer()
-        writer.writerow(("generators", "classification", "formula", "drop"))
-        for step in result.steps:
-            writer.writerow((" ".join(str(g) for g in step.generators),
-                             step.classification, step.formula_name,
-                             step.formula_drop))
-        click.echo(f"telescoped drops: {result.telescoped_total}", err=True)
-        click.echo(f"torsion length at start: {result.start_torsion}",
-                   err=True)
+    notes = [f"telescoped drops: {result.telescoped_total}",
+             f"torsion length at start: {result.start_torsion}"]
+    steps = result.steps
+    _emit(fmt,
+          lines=chained((f"{_curve_label(s.generators)} {s.classification}: "
+                         f"{s.formula_name} predicts drop {s.formula_drop}"
+                         for s in steps), notes,
+                        ["telescopes: "
+                         + ("yes" if result.telescopes else "NO")]),
+          records=({"generators": list(s.generators),
+                    "classification": s.classification,
+                    "formula": s.formula_name,
+                    "drop": s.formula_drop} for s in steps),
+          header=("generators", "classification", "formula", "drop"),
+          rows=((_csv_label(s.generators), s.classification, s.formula_name,
+                 s.formula_drop) for s in steps),
+          notes=notes)
     if not result.telescopes:
         ctx.exit(2)
 

@@ -8,15 +8,15 @@ record says which theorems held and which had nothing to say.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import FormulaNotApplicable
 from .ideals import (dedekind_different, different_inverse_gap,
-                     kaehler_different, value_set_of)
-from .oracle import (colength_via_derivative_spans, differential_dims_of_curve,
+                     kaehler_different)
+from .oracle import (RelationModuleLengths, colength_via_derivative_spans,
                      differential_dims_of_transform, exactness_defect,
                      genus_via_derivative_spans, relation_module_lengths,
-                     torsion_length)
+                     relative_differential_dims, torsion_length)
 from .presentation import (blowup_presentation, classify_transform, deviation,
                            presentation_of)
 from .semigroup import NumericalSemigroup, blowup, colength
@@ -79,18 +79,6 @@ def general_drop(S: NumericalSemigroup, reverse_tiebreak: bool = False) -> int:
     n_vars = S.embdim - 1
     away = colength(S, blowup(S).transformed)
     return lengths.blowup_over_rescaled - n_vars * (away - S.multiplicity)
-
-
-def blowup_differential_colength(S: NumericalSemigroup,
-                                 reverse_tiebreak: bool = False) -> int:
-    """Predicted difference between the differential dimensions of the
-    curve and of its transform, both over the original parameter line."""
-    if S.embdim == 1:
-        raise FormulaNotApplicable("the curve is already regular")
-    lengths = relation_module_lengths(S, reverse_tiebreak)
-    n_vars = S.embdim - 1
-    away = colength(S, blowup(S).transformed)
-    return lengths.blowup_over_rescaled + n_vars * (S.multiplicity - away)
 
 
 def drop_formula_for(S: NumericalSemigroup,
@@ -157,6 +145,9 @@ class CurveReport:
     blowup_over_lifted: int | None
     lifted_over_rescaled: int | None
     rescaled_over_original: int | None
+    relation_degrees: tuple[int, ...]
+    blowup_relation_count: int
+    kaehler_different: str
     checks: dict[str, bool | None] = field(default_factory=dict)
 
     @property
@@ -164,35 +155,9 @@ class CurveReport:
         return all(v is not False for v in self.checks.values())
 
     def to_dict(self) -> dict:
-        out = {
-            "generators": list(self.generators),
-            "multiplicity": self.multiplicity,
-            "embedding_dimension": self.embedding_dimension,
-            "genus": self.genus,
-            "frobenius": self.frobenius,
-            "conductor": self.conductor,
-            "symmetric": self.symmetric,
-            "deviation": self.deviation,
-            "blowup_deviation": self.blowup_deviation,
-            "classification": self.classification,
-            "blowup_generators": list(self.blowup_generators),
-            "blowup_genus": self.blowup_genus,
-            "colength": self.colength,
-            "torsion_length": self.torsion_length,
-            "blowup_torsion_length": self.blowup_torsion_length,
-            "torsion_drop": self.torsion_drop,
-            "differential_total": self.differential_total,
-            "blowup_differential_total": self.blowup_differential_total,
-            "exactness_defect": self.exactness_defect,
-            "blowup_exactness_defect": self.blowup_exactness_defect,
-            "different_inverse_gap": self.different_inverse_gap,
-            "blowup_over_rescaled": self.blowup_over_rescaled,
-            "blowup_over_lifted": self.blowup_over_lifted,
-            "lifted_over_rescaled": self.lifted_over_rescaled,
-            "rescaled_over_original": self.rescaled_over_original,
-            "checks": dict(self.checks),
-            "all_pass": self.all_pass,
-        }
+        out = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in asdict(self).items()}
+        out["all_pass"] = self.all_pass
         return out
 
 
@@ -228,107 +193,81 @@ def _value_sets_equal(a, b) -> bool:
 
 def full_report(S: NumericalSemigroup,
                 reverse_tiebreak: bool = False) -> CurveReport:
-    """Compute every quantity and evaluate every applicable identity."""
+    """Compute every quantity and evaluate every applicable identity.
+
+    A regular curve takes the same path; the checks that need a
+    singularity stay None, and so do the inverse different gap and the
+    relation-module lengths.
+    """
     checks: dict[str, bool | None] = {name: None for name in CHECK_NAMES}
-    regular = S.embdim == 1
     step = blowup(S)
     S1 = step.transformed
     tor = torsion_length(S, reverse_tiebreak)
     tor1 = torsion_length(S1, reverse_tiebreak)
     defect = exactness_defect(S)
     defect1 = exactness_defect(S1)
-    omega = differential_dims_of_curve(S, reverse_tiebreak)
+    pres = presentation_of(S, reverse_tiebreak)
+    bpres = blowup_presentation(S, reverse_tiebreak)
+    omega = relative_differential_dims(pres)
     omega1 = differential_dims_of_transform(S, reverse_tiebreak)
+    dk = kaehler_different(S, pres)
+    away = colength(S, S1)
+    n_vars = S.embdim - 1
+    q = S.multiplicity
+    label = classify_transform(S)
+    drop = tor.length - tor1.length
+    gap = lengths = None
 
     checks["torsion_routes_match"] = tor.route_a == tor.route_b
     checks["exactness_defect_zero"] = defect == 0
     checks["normalization_colength_matches_genus"] = \
         genus_via_derivative_spans(S) == S.genus
-
-    if regular:
-        dk = value_set_of(S)
-        checks["kaehler_equals_dedekind"] = _value_sets_equal(
-            dk, dedekind_different(S))
-        checks["chain_telescopes"] = chain_drop_sum(S, reverse_tiebreak) \
-            == tor.length
-        return CurveReport(
-            generators=S.min_generators,
-            multiplicity=S.multiplicity,
-            embedding_dimension=S.embdim,
-            genus=S.genus,
-            frobenius=S.frobenius,
-            conductor=S.conductor,
-            symmetric=S.is_symmetric,
-            deviation=0,
-            blowup_deviation=0,
-            classification="regular",
-            blowup_generators=S1.min_generators,
-            blowup_genus=S1.genus,
-            colength=0,
-            torsion_length=0,
-            blowup_torsion_length=0,
-            torsion_drop=0,
-            differential_total=omega.total,
-            blowup_differential_total=omega1.total,
-            exactness_defect=defect,
-            blowup_exactness_defect=defect1,
-            different_inverse_gap=None,
-            blowup_over_rescaled=None,
-            blowup_over_lifted=None,
-            lifted_over_rescaled=None,
-            rescaled_over_original=None,
-            checks=checks,
-        )
-
-    pres = presentation_of(S, reverse_tiebreak)
-    blowup_presentation(S, reverse_tiebreak)
-    lengths = relation_module_lengths(S, reverse_tiebreak)
-    away = colength(S, S1)
-    n_vars = S.embdim - 1
-    q = S.multiplicity
-    label = classify_transform(S)
-    gap = different_inverse_gap(S, pres)
-    drop = tor.length - tor1.length
-
-    checks["blowup_torsion_routes_match"] = tor1.route_a == tor1.route_b
-    checks["blowup_exactness_defect_zero"] = defect1 == 0
-    checks["blowup_colength_matches_gap_count"] = \
-        colength_via_derivative_spans(S, S1) == away
     checks["kaehler_equals_dedekind"] = _value_sets_equal(
-        kaehler_different(S, pres), dedekind_different(S))
-    checks["blowup_torsion_via_base_presentation"] = \
-        tor1.length == omega1.total - (q - 1) - defect1
-    checks["differential_drop_identity"] = \
-        omega.total - omega1.total == blowup_differential_colength(
-            S, reverse_tiebreak)
-    checks["general_drop_identity"] = drop == general_drop(S, reverse_tiebreak)
-    checks["rescaled_sandwich_length"] = \
-        lengths.rescaled_over_original == 2 * n_vars * q
-    checks["torsion_positive_when_singular"] = tor.length > 0
+        dk, dedekind_different(S))
     checks["chain_telescopes"] = chain_drop_sum(S, reverse_tiebreak) \
         == tor.length
 
-    if deviation(S) == 0:
-        checks["ci_torsion_formula"] = \
-            tor.length == complete_intersection_torsion(S)
-        checks["ci_projective_dimension_split"] = \
-            omega.total == 2 * S.genus + q - 1
-        checks["ci_drop_decomposition"] = \
-            lengths.blowup_over_rescaled == lengths.blowup_over_lifted \
-            + n_vars * away
-        checks["ci_drop_via_lifted_module"] = \
-            drop == lengths.blowup_over_lifted + n_vars * q
-        checks["ci_drop_lower_bound"] = drop >= ci_drop_lower_bound(S)
-        checks["ci_different_gap_zero"] = gap == 0
-    if deviation(S) == 1:
-        checks["aci_torsion_formula"] = \
-            tor.length == genus_via_derivative_spans(S) + S.genus + gap
-    if label == "stable CI":
-        checks["stable_ci_drop_formula"] = drop == stable_ci_drop(S)
-    if label == "nice ACI":
-        checks["nice_aci_drop_formula"] = \
-            drop == nice_aci_drop(S, reverse_tiebreak)
+    if S.embdim > 1:
+        lengths = relation_module_lengths(S, reverse_tiebreak)
+        gap = different_inverse_gap(S, pres)
+        predicted_drop = general_drop(S, reverse_tiebreak)
+        checks["blowup_torsion_routes_match"] = tor1.route_a == tor1.route_b
+        checks["blowup_exactness_defect_zero"] = defect1 == 0
+        checks["blowup_colength_matches_gap_count"] = \
+            colength_via_derivative_spans(S, S1) == away
+        checks["blowup_torsion_via_base_presentation"] = \
+            tor1.length == omega1.total - (q - 1) - defect1
+        checks["differential_drop_identity"] = \
+            omega.total - omega1.total == predicted_drop
+        checks["general_drop_identity"] = drop == predicted_drop
+        checks["rescaled_sandwich_length"] = \
+            lengths.rescaled_over_original == 2 * n_vars * q
+        checks["torsion_positive_when_singular"] = tor.length > 0
 
+        if deviation(S) == 0:
+            checks["ci_torsion_formula"] = \
+                tor.length == complete_intersection_torsion(S)
+            checks["ci_projective_dimension_split"] = \
+                omega.total == 2 * S.genus + q - 1
+            checks["ci_drop_decomposition"] = \
+                lengths.blowup_over_rescaled == lengths.blowup_over_lifted \
+                + n_vars * away
+            checks["ci_drop_via_lifted_module"] = \
+                drop == lengths.blowup_over_lifted + n_vars * q
+            checks["ci_drop_lower_bound"] = drop >= ci_drop_lower_bound(S)
+            checks["ci_different_gap_zero"] = gap == 0
+        if deviation(S) == 1:
+            checks["aci_torsion_formula"] = \
+                tor.length == genus_via_derivative_spans(S) + S.genus + gap
+        if label == "stable CI":
+            checks["stable_ci_drop_formula"] = drop == stable_ci_drop(S)
+        if label == "nice ACI":
+            checks["nice_aci_drop_formula"] = \
+                drop == nice_aci_drop(S, reverse_tiebreak)
+
+    module_lengths = (asdict(lengths) if lengths is not None else
+                      dict.fromkeys(f.name for f in
+                                    fields(RelationModuleLengths)))
     return CurveReport(
         generators=S.min_generators,
         multiplicity=q,
@@ -351,9 +290,9 @@ def full_report(S: NumericalSemigroup,
         exactness_defect=defect,
         blowup_exactness_defect=defect1,
         different_inverse_gap=gap,
-        blowup_over_rescaled=lengths.blowup_over_rescaled,
-        blowup_over_lifted=lengths.blowup_over_lifted,
-        lifted_over_rescaled=lengths.lifted_over_rescaled,
-        rescaled_over_original=lengths.rescaled_over_original,
+        **module_lengths,
+        relation_degrees=pres.betti_degrees,
+        blowup_relation_count=bpres.mu,
+        kaehler_different=str(dk),
         checks=checks,
     )

@@ -293,16 +293,6 @@ def relation_module_lengths(S: NumericalSemigroup,
 
 
 @lru_cache(maxsize=None)
-def differential_dims_of_curve(S: NumericalSemigroup,
-                               reverse_tiebreak: bool = False
-                               ) -> GradedDimensionLedger:
-    """Differentials of the curve relative to its own parameter line."""
-    if S.embdim == 1:
-        return GradedDimensionLedger((), 0, 0, (0, 0))
-    return relative_differential_dims(presentation_of(S, reverse_tiebreak))
-
-
-@lru_cache(maxsize=None)
 def differential_dims_of_transform(S: NumericalSemigroup,
                                    reverse_tiebreak: bool = False
                                    ) -> GradedDimensionLedger:

@@ -26,7 +26,6 @@ from curvetorsion import (
     classify_transform,
     complete_intersection_torsion,
     dedekind_different,
-    differential_dims_of_curve,
     different_inverse_gap,
     enumerate_by_genus,
     from_generators,
@@ -35,6 +34,7 @@ from curvetorsion import (
     kaehler_different,
     presentation_of,
     relation_module_lengths,
+    relative_differential_dims,
     run_campaign,
     stable_ci_drop,
     torsion_length,
@@ -155,7 +155,7 @@ def test_criterion_1_worked_singletons():
 
     def singleton_4_5(check):
         S = from_generators([4, 5])
-        dims = differential_dims_of_curve(S)
+        dims = relative_differential_dims(presentation_of(S))
         check.equal("<4,5> differential module dimension over the line",
                     dims.total, 15)
         lengths = relation_module_lengths(S)

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from curvetorsion import (CampaignConfig, CampaignSummary, build_chain,
-                          from_generators, run_campaign)
+import curvetorsion.campaign
+from curvetorsion import (CampaignConfig, CampaignSummary, IdealError,
+                          build_chain, from_generators, run_campaign)
+from oracles import run_cli
 
 
 def test_chain_pinned():
@@ -97,3 +99,24 @@ def test_campaign_reverse_tiebreak_changes_no_length():
     assert flipped_summary == plain_summary
     assert [r.to_dict() for r in flipped_reports] == \
         [r.to_dict() for r in plain_reports]
+
+
+def test_campaign_records_a_domain_error_and_goes_on(monkeypatch):
+    real_full_report = curvetorsion.campaign.full_report
+
+    def failing_full_report(S, reverse_tiebreak=False):
+        if S.min_generators == (3, 5, 7):
+            raise IdealError("injected")
+        return real_full_report(S, reverse_tiebreak)
+
+    monkeypatch.setattr(curvetorsion.campaign, "full_report",
+                        failing_full_report)
+    summary, reports = run_campaign(CampaignConfig(max_genus=3))
+    assert summary.curves_examined == 8
+    assert len(reports) == 7
+    assert (3, 5, 7) not in [r.generators for r in reports]
+    assert summary.oracle_errors == (((3, 5, 7), "IdealError: injected"),)
+
+    code, out, _ = run_cli("verify", "--max-genus", "3")
+    assert code == 1
+    assert "oracle error on <3,5,7>: IdealError: injected" in out.splitlines()

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from curvetorsion import from_generators, full_report
 from oracles import run_cli
+
+GOLDEN = json.loads(
+    (Path(__file__).resolve().parent / "golden_cli.json").read_text())
 
 
 def test_analyze_human_output():
@@ -46,6 +50,9 @@ def test_analyze_jsonl_output():
     assert record["checks"]["nice_aci_drop_formula"] is True
     assert record["checks"]["ci_torsion_formula"] is None
     assert record["all_pass"] is True
+    assert record["relation_degrees"] == [8, 9, 10]
+    assert record["blowup_relation_count"] == 2
+    assert record["kaehler_different"] == "{8+}"
 
 
 def test_analyze_csv_output():
@@ -64,6 +71,32 @@ def test_analyze_violation_exits_two():
     record = json.loads(out)
     assert record["all_pass"] is False
     assert record["checks"]["kaehler_equals_dedekind"] is False
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=lambda e: " ".join(e["argv"]))
+def test_golden_transcripts(entry):
+    assert run_cli(*entry["argv"]) == \
+        (entry["exit_code"], entry["stdout"], entry["stderr"])
+
+
+def test_human_rendering_reads_only_the_record(monkeypatch):
+    report = full_report(from_generators((3, 4, 5)))
+
+    def no_minor_search(pres):
+        raise AssertionError("minor search at render time")
+
+    monkeypatch.setattr("curvetorsion.cli.full_report",
+                        lambda S, reverse_tiebreak=False: report)
+    monkeypatch.setattr("curvetorsion.ideals.fitting_minor_degrees",
+                        no_minor_search)
+    argv = ["analyze", "3", "4", "5", "--format", "human"]
+    expected = next(e for e in GOLDEN if e["argv"] == argv)
+    code, out, err = run_cli(*argv)
+    assert (code, out, err) == (0, expected["stdout"], "")
+    assert "  relations: 3 of degrees 8 9 10; transform tuple needs 2" \
+        in out.splitlines()
+    assert "  derivative different {8+}, inverse different gap 1" \
+        in out.splitlines()
 
 
 def test_analyze_rejects_non_semigroup():

@@ -7,14 +7,14 @@ import json
 import pytest
 
 from curvetorsion import (CHECK_NAMES, FormulaNotApplicable, blowup,
-                          blowup_differential_colength, chain_drop_sum,
-                          ci_drop_lower_bound, complete_intersection_torsion,
-                          differential_dims_of_curve,
+                          chain_drop_sum, ci_drop_lower_bound,
+                          complete_intersection_torsion,
                           differential_dims_of_transform, different_inverse_gap,
                           drop_formula_for, from_generators, full_report,
                           general_drop, genus_via_derivative_spans,
                           nice_aci_drop, normalization_differential_colength,
-                          presentation_of, stable_ci_drop, torsion_length)
+                          presentation_of, relative_differential_dims,
+                          stable_ci_drop, torsion_length)
 
 
 def test_normalization_differential_colength():
@@ -90,14 +90,14 @@ def test_chain_drop_sum():
     assert chain_drop_sum(from_generators((1,))) == 0
 
 
-def test_blowup_differential_colength():
+def test_general_drop_is_the_differential_colength():
     for gens in [(2, 3), (3, 4, 5), (4, 5), (4, 6, 7), (4, 5, 6, 7)]:
         S = from_generators(gens)
-        predicted = blowup_differential_colength(S)
-        assert predicted == differential_dims_of_curve(S).total \
-            - differential_dims_of_transform(S).total
+        here = relative_differential_dims(presentation_of(S)).total
+        there = differential_dims_of_transform(S).total
+        assert general_drop(S) == here - there
     with pytest.raises(FormulaNotApplicable):
-        blowup_differential_colength(from_generators((1,)))
+        general_drop(from_generators((1,)))
 
 
 def test_aci_torsion_splits_into_three_parts():

@@ -6,7 +6,6 @@ import pytest
 
 from curvetorsion import (OracleError, blowup, blowup_presentation,
                           colength_via_derivative_spans,
-                          differential_dims_of_curve,
                           differential_dims_of_transform, exactness_defect,
                           from_generators, genus_via_derivative_spans,
                           presentation_of, relation_module_lengths,
@@ -28,7 +27,7 @@ DIFFERENTIAL_DIMS = {
 
 @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_DIMS))
 def test_differential_dimensions_pinned(gens):
-    ledger = differential_dims_of_curve(from_generators(gens))
+    ledger = relative_differential_dims(presentation_of(from_generators(gens)))
     total, per_degree = DIFFERENTIAL_DIMS[gens]
     assert ledger.total == total
     assert ledger.per_degree == per_degree
@@ -38,14 +37,15 @@ def test_differential_dimensions_pinned(gens):
 
 
 def test_ledger_dimension_accessor():
-    ledger = differential_dims_of_curve(from_generators((2, 3)))
+    S = from_generators((2, 3))
+    ledger = relative_differential_dims(presentation_of(S))
     assert ledger.dimension(5) == 1
     assert ledger.dimension(4) == 0
     assert ledger.dimension(-1) == 0
 
 
 def test_differential_dimensions_of_regular_curve():
-    ledger = differential_dims_of_curve(from_generators((1,)))
+    ledger = relative_differential_dims(presentation_of(from_generators((1,))))
     assert ledger.total == 0 and ledger.per_degree == ()
 
 
@@ -87,7 +87,7 @@ def test_torsion_is_memoized():
 def test_torsion_sits_inside_the_differential_module():
     for gens in sorted(TORSION):
         S = from_generators(gens)
-        ledger = differential_dims_of_curve(S)
+        ledger = relative_differential_dims(presentation_of(S))
         for degree, dim in torsion_length(S).contributions:
             assert dim <= ledger.dimension(degree)
 
@@ -183,6 +183,6 @@ def test_torsion_equals_differential_total_minus_known_parts():
     # normalization share, and the (always zero) exactness defect
     for gens in sorted(TORSION):
         S = from_generators(gens)
-        total = differential_dims_of_curve(S).total
+        total = relative_differential_dims(presentation_of(S)).total
         assert torsion_length(S).length == \
             total - (S.multiplicity - 1) - exactness_defect(S)
