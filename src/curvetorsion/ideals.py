@@ -11,8 +11,9 @@ between them reduce to finite set comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .linalg import integer_rank
+from .linalg import Echelon
 from .presentation import Presentation, _tuple_semigroup
 from .semigroup import NumericalSemigroup
 
@@ -115,6 +116,7 @@ def inverse(V: ValueSet) -> ValueSet:
     return make_value_set(S, members, tail)
 
 
+@lru_cache(maxsize=None)
 def fitting_minor_degrees(pres: Presentation) -> tuple[int, ...]:
     """Degrees of the nonvanishing maximal minors of the derivative matrix,
     up to one conductor above the least one.
@@ -127,49 +129,78 @@ def fitting_minor_degrees(pres: Presentation) -> tuple[int, ...]:
     nonzero exactly when its rows are linearly independent, and
     independent subsets form a matroid: the greedy algorithm yields the
     least degree, and degrees at least one conductor higher add nothing
-    to the generated ideal, so a pruned search over the window suffices.
+    to the generated ideal, so a search over that window suffices.
+
+    The result depends on the presentation alone and is memoized per
+    presentation: a campaign asks for it about three times per distinct
+    presentation.  The depth-first search over row subsets carries an
+    Echelon of the rows chosen so far, so each node tests one new row
+    against it instead of ranking the whole chosen set again; the echelon
+    is persistent, so backtracking costs nothing.
+
+    Rows are sorted by degree, and the search stops scanning a level once
+    even the lightest completion leaves the window.  It also skips any row
+    whose subtree cannot add a new total: reach[i][k] is the bitmask of
+    every sum of k degrees taken from rows[i:], independent or not, so a
+    subtree entered through row i at running total t can only produce
+    totals inside reach[i + 1][need - 1] << (t + d_i).  When every such
+    total inside the window is already found, the subtree is skipped.  The
+    found set starts with the greedy basis's total and only grows, so
+    nothing skipped could have added a degree.
+    The skip is a `continue`, not a `break`: a later row has another
+    degree, hence another shift, and may still reach a new total.
     """
     n_vars = len(pres.gen_tuple.var_weights)
     skip = pres.gen_tuple.has_x
     col_sum = sum(pres.gen_tuple.var_weights)
-    rows = sorted((rel.degree, list(rel.coefficients(skip_first=skip)))
+    rows = sorted((rel.degree, rel.coefficients(skip_first=skip))
                   for rel in pres.relations)
     degrees = [d for d, _ in rows]
 
-    basis: list[list[int]] = []
+    basis = Echelon()
     base_sum = 0
     for d, vec in rows:
-        if len(basis) == n_vars:
+        if basis.rank == n_vars:
             break
-        if integer_rank(basis + [vec]) > len(basis):
-            basis.append(vec)
+        grown = basis.extend(vec)
+        if grown is not None:
+            basis = grown
             base_sum += d
-    if len(basis) < n_vars:
+    if basis.rank < n_vars:
         raise IdealError("all maximal minors vanish")
-    least = base_sum - col_sum
 
     conductor = _tuple_semigroup(pres.gen_tuple.weights).conductor
     if conductor == 0:
-        return (least,)
+        return (base_sum - col_sum,)
     limit = base_sum + conductor
-    found: set[int] = set()
+    window = (1 << limit) - 1
+    n_rows = len(rows)
+    reach = [[0] * (n_vars + 1) for _ in range(n_rows + 1)]
+    reach[n_rows][0] = 1
+    for i in range(n_rows - 1, -1, -1):
+        here, after = reach[i], reach[i + 1]
+        here[0] = 1
+        for k in range(1, n_vars + 1):
+            here[k] = (after[k] | after[k - 1] << degrees[i]) & window
+    found = 1 << base_sum
 
-    def search(start: int, chosen: list[list[int]], total: int,
-               need: int) -> None:
+    def search(start: int, chosen: Echelon, total: int, need: int) -> None:
+        nonlocal found
         if need == 0:
-            found.add(total - col_sum)
+            found |= 1 << total
             return
-        for i in range(start, len(rows) - need + 1):
+        for i in range(start, n_rows - need + 1):
             d = degrees[i]
             if total + d + sum(degrees[i + 1:i + need]) >= limit:
                 break
-            vec = rows[i][1]
-            if integer_rank(chosen + [vec]) > len(chosen):
-                search(i + 1, chosen + [vec], total + d, need - 1)
+            if not (reach[i + 1][need - 1] << (total + d)) & window & ~found:
+                continue
+            grown = chosen.extend(rows[i][1])
+            if grown is not None:
+                search(i + 1, grown, total + d, need - 1)
 
-    search(0, [], 0, n_vars)
-    found.add(least)
-    return tuple(sorted(found))
+    search(0, Echelon(), 0, n_vars)
+    return tuple(t - col_sum for t in range(limit) if found >> t & 1)
 
 
 def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:

@@ -7,6 +7,7 @@ value an integer, so there is no floating point anywhere.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
 
@@ -40,6 +41,41 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
         if rank == len(m):
             break
     return rank
+
+
+class Echelon:
+    """Linearly independent integer rows in echelon form, grown one at a time.
+
+    Each stored row is primitive (its entries have gcd 1) and is zero in
+    the pivot column of every row stored before it, so a candidate row is
+    reduced against all of them in one pass and is independent exactly
+    when something survives.  The form is persistent: extend returns a new
+    Echelon and leaves this one as it was, so a depth-first search
+    backtracks by dropping a reference.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, tuple[int, ...]], ...] = ()):
+        self.rows = rows  # (pivot column, row) pairs
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def extend(self, vec: Sequence[int]) -> Echelon | None:
+        """The echelon with vec added, or None when vec is dependent."""
+        v = list(vec)
+        for pivot, row in self.rows:
+            f = v[pivot]
+            if f:
+                p = row[pivot]
+                v = [p * a - f * b for a, b in zip(v, row)]
+        pivot = next((j for j, a in enumerate(v) if a), None)
+        if pivot is None:
+            return None
+        g = gcd(*v)
+        return Echelon(self.rows + ((pivot, tuple(a // g for a in v)),))
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:

@@ -121,6 +121,75 @@ def brute_force_minor_degrees(pres, limit: int) -> set[int]:
     return out
 
 
+def naive_conductor(generators) -> int:
+    """Least c such that every integer from c on is in the closure.
+
+    Once min(generators) consecutive integers are members, every larger
+    integer is one too.
+    """
+    step = min(generators)
+    bound = step * max(generators)
+    while True:
+        members = naive_members(generators, bound)
+        run = 0
+        for v in range(bound + 1):
+            run = run + 1 if v in members else 0
+            if run == step:
+                return v - step + 1
+        bound *= 2
+
+
+def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:
+    """The package's original pruned minor search, ranks over Fraction.
+
+    A greedy least-degree basis, then a depth-first search over row
+    subsets within one conductor of it that re-ranks the whole chosen set
+    at every node.  Kept as the reference for the memoized, incremental
+    search that replaced it.
+    """
+    n_vars = len(pres.gen_tuple.var_weights)
+    skip = pres.gen_tuple.has_x
+    col_sum = sum(pres.gen_tuple.var_weights)
+    rows = sorted((rel.degree, list(rel.coefficients(skip_first=skip)))
+                  for rel in pres.relations)
+    degrees = [d for d, _ in rows]
+
+    basis: list[list[int]] = []
+    base_sum = 0
+    for d, vec in rows:
+        if len(basis) == n_vars:
+            break
+        if fraction_rank(basis + [vec]) > len(basis):
+            basis.append(vec)
+            base_sum += d
+    if len(basis) < n_vars:
+        raise ValueError("all maximal minors vanish")
+    least = base_sum - col_sum
+
+    conductor = naive_conductor(pres.gen_tuple.weights)
+    if conductor == 0:
+        return (least,)
+    limit = base_sum + conductor
+    found: set[int] = set()
+
+    def search(start: int, chosen: list[list[int]], total: int,
+               need: int) -> None:
+        if need == 0:
+            found.add(total - col_sum)
+            return
+        for i in range(start, len(rows) - need + 1):
+            d = degrees[i]
+            if total + d + sum(degrees[i + 1:i + need]) >= limit:
+                break
+            vec = rows[i][1]
+            if fraction_rank(chosen + [vec]) > len(chosen):
+                search(i + 1, chosen + [vec], total + d, need - 1)
+
+    search(0, [], 0, n_vars)
+    found.add(least)
+    return tuple(sorted(found))
+
+
 def run_cli(*argv: str) -> tuple[int, str, str]:
     """Invoke the command line entry point in process.
 

@@ -8,7 +8,9 @@ sweep: the Fitting different equals the trace different only through
 deviation one, so kaehler_equals_dedekind fails on exactly the 105 curves
 of deviation >= 2, smallest <4,5,6,7> with differents {15+} and {11+}.
 The criterion fails on any other identity failure, on a missing or extra
-violator, or on a changed witness.
+violator, or on a changed witness.  A further gate repeats it on the 274
+curves of genus <= 9, where the violators are the 206 curves of deviation
+>= 2.
 """
 
 import subprocess
@@ -243,6 +245,37 @@ def test_criterion_2_exhaustive_identity_campaign(campaign):
     check.finish(2, f"156 curves in {elapsed:.1f}s; 21 of 22 identities "
                     "hold on all 156 curves; kaehler_equals_dedekind fails "
                     "on exactly the 105 deviation >= 2 curves")
+
+
+def test_genus_9_exhaustive_identity_campaign(campaign):
+    # Criterion 2 one genus further: the same documented outcome on all
+    # 274 curves of genus <= 9.  Requesting the genus <= 8 fixture first
+    # lets this sweep reuse its caches.
+    start = time.perf_counter()
+    summary, reports = run_campaign(CampaignConfig(max_genus=9))
+    elapsed = time.perf_counter() - start
+    check = Checker()
+    check.equal("curves examined", summary.curves_examined, 274)
+    check.equal("genus 9 curves (OEIS A007323)",
+                dict(summary.counts_by_genus).get(9), 118)
+    check.equal("oracle errors", summary.oracle_errors, ())
+    offenders = dict(summary.violations)
+    for generators, failed in offenders.items():
+        check.equal(f"checks failed by {generators}",
+                    failed, ("kaehler_equals_dedekind",))
+    high_deviation = {report.generators for report in reports
+                      if report.deviation >= 2}
+    check.equal("violators are exactly the deviation >= 2 curves",
+                set(offenders), high_deviation)
+    check.equal("deviation >= 2 curves through genus 9",
+                len(high_deviation), 206)
+    check.equal("first violation in enumeration order",
+                summary.violations[0][0] if summary.violations else None,
+                (4, 5, 6, 7))
+    check.finish("2 at genus 9",
+                 f"274 curves in {elapsed:.1f}s; kaehler_equals_dedekind "
+                 "fails on exactly the 206 deviation >= 2 curves, nothing "
+                 "else fails")
 
 
 def test_criterion_3_enumeration_counts():

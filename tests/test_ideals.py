@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from curvetorsion import (IdealError, ValueSet, complementary_module,
-                          dedekind_different, different_inverse_gap,
+from curvetorsion import (IdealError, ValueSet, blowup_presentation,
+                          complementary_module, dedekind_different,
+                          different_inverse_gap,
                           enumerate_by_genus, fitting_minor_degrees,
                           from_generators, inverse, kaehler_different,
                           make_value_set, presentation_of, quotient_length,
                           value_set_of)
 from curvetorsion.presentation import _tuple_semigroup
-from oracles import brute_force_minor_degrees
+from oracles import (brute_force_minor_degrees,
+                     reference_fitting_minor_degrees)
 
 
 def vs(gens, members, tail):
@@ -131,6 +133,30 @@ def test_fitting_degrees_match_exhaustive_minor_search(gens):
     brute = brute_force_minor_degrees(pres, limit)
     assert set(d for d in got if d < limit) == brute
     assert min(got) == min(brute)
+    assert got == reference_fitting_minor_degrees(pres)
+
+
+def _corpus_presentations(max_genus):
+    """Every distinct minimal and blowup presentation, both tie-breaks."""
+    seen = {}
+    for S in enumerate_by_genus(max_genus):
+        if S.embdim == 1:
+            continue
+        for tiebreak in (False, True):
+            for pres in (presentation_of(S, tiebreak),
+                         blowup_presentation(S, tiebreak)):
+                seen.setdefault(pres, S.min_generators)
+    return seen
+
+
+def test_fitting_degrees_match_reference_search_on_the_corpus():
+    # the memoized, incremental, reach-pruned search returns exactly what
+    # the original search re-ranking every node over Fraction returns
+    presentations = _corpus_presentations(6)
+    assert len(presentations) == 145
+    for pres, gens in presentations.items():
+        assert fitting_minor_degrees(pres) == \
+            reference_fitting_minor_degrees(pres), (gens, pres.gen_tuple)
 
 
 def test_kaehler_different_of_regular_curve_is_the_ring():

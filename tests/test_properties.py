@@ -17,7 +17,7 @@ from curvetorsion import (blowup, complementary_module, dedekind_different,
                           enumerate_by_genus, from_generators, full_report,
                           inverse, make_value_set, presentation_of,
                           value_set_of)
-from curvetorsion.linalg import integer_determinant, integer_rank
+from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
 from oracles import fraction_determinant, fraction_rank, naive_members
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
@@ -31,6 +31,27 @@ square_matrices = st.integers(min_value=1, max_value=5).flatmap(
         st.lists(st.integers(min_value=-9, max_value=9),
                  min_size=n, max_size=n),
         min_size=n, max_size=n))
+
+
+
+@st.composite
+def row_sequences(draw):
+    """Small integer rows, some of them integer combinations of earlier
+    ones, so that dependent rows really occur."""
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    entries = st.integers(min_value=-9, max_value=9)
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                   min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * row[j] for c, row in zip(coeffs, rows))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entries, min_size=ncols,
+                                      max_size=ncols)))
+    return rows
+
 
 generator_sets = st.lists(st.integers(min_value=2, max_value=24),
                           min_size=2, max_size=4, unique=True)
@@ -64,6 +85,20 @@ def test_determinant_agrees_with_fraction_elimination(matrix):
 def test_zero_determinant_means_rank_deficient(matrix):
     n = len(matrix)
     assert (integer_determinant(matrix) == 0) == (integer_rank(matrix) < n)
+
+
+@given(row_sequences())
+def test_echelon_extends_exactly_when_the_rank_grows(rows):
+    echelon = Echelon()
+    for i, row in enumerate(rows):
+        before = echelon.rows
+        grown = echelon.extend(row)
+        assert echelon.rows == before  # persistent: extend copies
+        grows = fraction_rank(rows[:i + 1]) > fraction_rank(rows[:i])
+        assert (grown is not None) == grows
+        if grown is not None:
+            echelon = grown
+    assert echelon.rank == fraction_rank(rows)
 
 
 @settings(deadline=None, max_examples=60)
