@@ -22,9 +22,9 @@ from .ideals import (IdealError, ValueSet, complementary_module,
                      make_value_set, quotient_length, value_set_of)
 from .oracle import (GradedDimensionLedger, RelationModuleLengths,
                      TorsionResult, colength_via_derivative_spans,
-                     differential_dims_of_transform, exactness_defect,
-                     genus_via_derivative_spans, relation_module_lengths,
-                     relative_differential_dims, torsion_length)
+                     exactness_defect, genus_via_derivative_spans,
+                     relation_module_lengths, relative_differential_dims,
+                     torsion_length)
 from .presentation import (BinomialRelation, GeneratorTuple, Presentation,
                            PresentationError, betti_degree_bound,
                            blowup_presentation, classify_transform,
@@ -46,9 +46,9 @@ __all__ = [
     "classify_transform", "colength", "colength_via_derivative_spans",
     "complementary_module", "complete_intersection_torsion",
     "dedekind_different", "deviation", "different_inverse_gap",
-    "differential_dims_of_transform", "drop_formula_for", "enumerate_by_genus",
-    "exactness_defect", "factorizations", "fitting_minor_degrees",
-    "from_generators", "full_report", "general_drop",
+    "drop_formula_for", "enumerate_by_genus", "exactness_defect",
+    "factorizations", "fitting_minor_degrees", "from_generators",
+    "full_report", "general_drop",
     "genus_via_derivative_spans", "inverse", "kaehler_different",
     "make_value_set", "minimal_presentation", "nice_aci_drop",
     "normalization_differential_colength", "presentation_of",

@@ -13,11 +13,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import FormulaNotApplicable, OracleError
-from .formulas import CurveReport, drop_formula_for, full_report
+from .formulas import CurveReport, _chain_drops, full_report
 from .ideals import IdealError
 from .oracle import torsion_length
 from .presentation import PresentationError, classify_transform
-from .semigroup import NumericalSemigroup, SemigroupError, blowup, \
+from .semigroup import NumericalSemigroup, SemigroupError, \
     enumerate_by_genus, from_generators
 
 # Failures of the computation rather than of an identity: a sweep records
@@ -57,16 +57,11 @@ class ChainResult:
 def build_chain(S: NumericalSemigroup,
                 reverse_tiebreak: bool = False) -> ChainResult:
     """Transform repeatedly until regular, collecting formula drops."""
-    steps = []
-    current = S
-    while current.embdim > 1:
-        name, drop = drop_formula_for(current, reverse_tiebreak)
-        steps.append(ChainStep(current.min_generators,
-                               classify_transform(current), name, drop))
-        current = blowup(current).transformed
-    total = sum(s.formula_drop for s in steps)
-    return ChainResult(tuple(steps), torsion_length(S, reverse_tiebreak).length,
-                       total)
+    steps = tuple(ChainStep(T.min_generators, classify_transform(T), name,
+                            drop)
+                  for T, name, drop in _chain_drops(S, reverse_tiebreak))
+    return ChainResult(steps, torsion_length(S, reverse_tiebreak).length,
+                       sum(s.formula_drop for s in steps))
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from .errors import FormulaNotApplicable
 from .ideals import (dedekind_different, different_inverse_gap,
                      kaehler_different)
 from .oracle import (RelationModuleLengths, colength_via_derivative_spans,
-                     differential_dims_of_transform, exactness_defect,
-                     genus_via_derivative_spans, relation_module_lengths,
-                     relative_differential_dims, torsion_length)
+                     exactness_defect, genus_via_derivative_spans,
+                     relation_module_lengths, relative_differential_dims,
+                     torsion_length)
 from .presentation import (blowup_presentation, classify_transform, deviation,
                            presentation_of)
 from .semigroup import NumericalSemigroup, blowup, colength
@@ -97,6 +97,19 @@ def drop_formula_for(S: NumericalSemigroup,
     return "general_drop", general_drop(S, reverse_tiebreak)
 
 
+def _chain_drops(S: NumericalSemigroup, reverse_tiebreak: bool
+                 ) -> list[tuple[NumericalSemigroup, str, int]]:
+    """(curve, formula name, drop) for every transform step down to a
+    regular curve; like drop_formula_for, it never consults the torsion
+    oracle."""
+    out = []
+    current = S
+    while current.embdim > 1:
+        out.append((current, *drop_formula_for(current, reverse_tiebreak)))
+        current = blowup(current).transformed
+    return out
+
+
 def chain_drop_sum(S: NumericalSemigroup,
                    reverse_tiebreak: bool = False) -> int:
     """Sum of per-step formula drops along the full transform chain.
@@ -104,12 +117,7 @@ def chain_drop_sum(S: NumericalSemigroup,
     The chain ends at a regular curve with zero torsion, so the sum must
     telescope to the starting torsion length.
     """
-    total = 0
-    current = S
-    while current.embdim > 1:
-        total += drop_formula_for(current, reverse_tiebreak)[1]
-        current = blowup(current).transformed
-    return total
+    return sum(drop for _, _, drop in _chain_drops(S, reverse_tiebreak))
 
 
 @dataclass
@@ -187,10 +195,6 @@ CHECK_NAMES = (
 )
 
 
-def _value_sets_equal(a, b) -> bool:
-    return a.members == b.members and a.tail_start == b.tail_start
-
-
 def full_report(S: NumericalSemigroup,
                 reverse_tiebreak: bool = False) -> CurveReport:
     """Compute every quantity and evaluate every applicable identity.
@@ -209,7 +213,7 @@ def full_report(S: NumericalSemigroup,
     pres = presentation_of(S, reverse_tiebreak)
     bpres = blowup_presentation(S, reverse_tiebreak)
     omega = relative_differential_dims(pres)
-    omega1 = differential_dims_of_transform(S, reverse_tiebreak)
+    omega1 = relative_differential_dims(bpres)
     dk = kaehler_different(S, pres)
     away = colength(S, S1)
     n_vars = S.embdim - 1
@@ -222,8 +226,7 @@ def full_report(S: NumericalSemigroup,
     checks["exactness_defect_zero"] = defect == 0
     checks["normalization_colength_matches_genus"] = \
         genus_via_derivative_spans(S) == S.genus
-    checks["kaehler_equals_dedekind"] = _value_sets_equal(
-        dk, dedekind_different(S))
+    checks["kaehler_equals_dedekind"] = dk == dedekind_different(S)
     checks["chain_telescopes"] = chain_drop_sum(S, reverse_tiebreak) \
         == tor.length
 

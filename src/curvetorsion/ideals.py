@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .linalg import Echelon
 from .presentation import Presentation, _tuple_semigroup
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, apery_set
 
 
 class IdealError(ValueError):
@@ -90,7 +90,7 @@ def complementary_module(S: NumericalSemigroup) -> ValueSet:
     around zero and compared, so neither route is trusted alone.
     """
     q = S.multiplicity
-    apery = S.apery_set(q)
+    apery = apery_set(S, q)
     members = [v for v in range(-max(apery), 0) if v >= -apery[(-v) % q]]
     vs = make_value_set(S, members, 0)
     window = q + S.conductor

@@ -66,22 +66,46 @@ class RelationModuleLengths:
     rescaled_over_original: int
 
 
-def _degree_matrix(rows, valid_cols):
-    """Restrict derivative rows to the valid slots of this degree.
+def _derivative_rows(relations, skip_first: bool):
+    """(coefficients, support bitmask, degree) of each relation's row.
+
+    The coefficients do not depend on the degree the row is placed in,
+    so each oracle call builds them once.
+    """
+    out = []
+    for rel in relations:
+        coeffs = rel.coefficients(skip_first=skip_first)
+        support = sum(1 << i for i, c in enumerate(coeffs) if c)
+        out.append((coeffs, support, rel.degree))
+    return out
+
+
+def _active(rows, ring: NumericalSemigroup, d: int):
+    """The rows whose monomial multiple exists in degree d over the ring."""
+    return [(coeffs, support) for coeffs, support, deg in rows
+            if ring.contains(d - deg)]
+
+
+def _valid_slots(weights, ring: NumericalSemigroup, d: int) -> int:
+    """Bitmask of the slots whose shift by degree d lands in the ring."""
+    return sum(1 << i for i, w in enumerate(weights) if ring.contains(d - w))
+
+
+def _rank(rows, valid: int) -> int:
+    """Rank of the active rows restricted to the valid slots of a degree.
 
     A nonzero coefficient outside a valid slot would mean the module
     element escapes the ambient free module, which the construction
-    makes impossible; it is still checked.
+    makes impossible; it is still checked.  Past that check every invalid
+    column is zero, so the full-width rows have the restricted rank.
     """
-    col_set = set(valid_cols)
-    out = []
-    for coeffs in rows:
-        for i, c in enumerate(coeffs):
-            if c and i not in col_set:
-                raise OracleError(
-                    f"derivative row has coefficient {c} in invalid slot {i}")
-        out.append([coeffs[i] for i in valid_cols])
-    return out
+    for coeffs, support in rows:
+        bad = support & ~valid
+        if bad:
+            i = (bad & -bad).bit_length() - 1
+            raise OracleError(f"derivative row has coefficient {coeffs[i]} "
+                              f"in invalid slot {i}")
+    return integer_rank([coeffs for coeffs, _ in rows])
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +117,8 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     coefficients live in the semigroup generated by the full weight
     tuple.  The cutoff is max weight + ambient conductor + least value of
     the derivative Fitting ideal; one window of width max weight past the
-    cutoff is verified to be zero.
+    cutoff is verified to be zero.  On a blowup presentation this is the
+    transformed curve's module over the original parameter line.
     """
     tup = pres.gen_tuple
     if not tup.var_weights:
@@ -101,15 +126,12 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     ambient = _tuple_semigroup(tup.weights)
     width = max(tup.weights)
     cutoff = width + ambient.conductor + min(fitting_minor_degrees(pres))
-    col_weights = tup.var_weights
+    rows = _derivative_rows(pres.relations, tup.has_x)
     per_degree = []
     total = 0
     for d in range(cutoff + width + 1):
-        valid_cols = [i for i, w in enumerate(col_weights)
-                      if ambient.contains(d - w)]
-        rows = [rel.coefficients(skip_first=tup.has_x)
-                for rel in pres.relations if ambient.contains(d - rel.degree)]
-        dim = len(valid_cols) - integer_rank(_degree_matrix(rows, valid_cols))
+        valid = _valid_slots(tup.var_weights, ambient, d)
+        dim = valid.bit_count() - _rank(_active(rows, ambient, d), valid)
         if dim == 0:
             continue
         if d > cutoff:
@@ -201,14 +223,13 @@ def torsion_length(S: NumericalSemigroup,
 
     weights = pres.gen_tuple.weights
     cutoff, width = ledger.cutoff, max(weights)
+    rows = _derivative_rows(pres.relations, False)
     contributions = []
     route_b = 0
     for d in range(cutoff + width + 1):
-        valid_cols = [i for i, w in enumerate(weights) if S.contains(d - w)]
-        rows = [rel.coefficients(skip_first=False)
-                for rel in pres.relations if S.contains(d - rel.degree)]
-        kernel_dim = len(valid_cols) - 1 if valid_cols else 0
-        contrib = kernel_dim - integer_rank(_degree_matrix(rows, valid_cols))
+        valid = _valid_slots(weights, S, d)
+        kernel_dim = valid.bit_count() - 1 if valid else 0
+        contrib = kernel_dim - _rank(_active(rows, S, d), valid)
         if contrib == 0:
             continue
         if contrib < 0:
@@ -253,30 +274,25 @@ def relation_module_lengths(S: NumericalSemigroup,
         + max(S.min_generators)
     width = max(q, max(col_weights))
 
-    blowup_rows = [(rel.coefficients(skip_first=True), rel.degree)
-                   for rel in bpres.relations]
-    rescaled_rows = [(rel.coefficients(skip_first=True), rel.degree)
-                     for rel in rescaled]
+    blowup_rows = _derivative_rows(bpres.relations, True)
+    rescaled_rows = _derivative_rows(rescaled, True)
 
     totals = [0, 0, 0, 0]
     for d in range(cutoff + width + 1):
-        valid_cols = [i for i, w in enumerate(col_weights)
-                      if S1.contains(d - w)]
-        n1 = [c for c, deg in blowup_rows if S1.contains(d - deg)]
-        lifted = [c for c, deg in rescaled_rows if S1.contains(d - deg)]
-        resc = [c for c, deg in rescaled_rows if S.contains(d - deg)]
-        orig = [c for c, deg in rescaled_rows if S.contains(d - deg - 2 * q)]
-        r_n1 = integer_rank(_degree_matrix(n1, valid_cols))
-        r_joint = integer_rank(_degree_matrix(n1 + lifted, valid_cols))
-        if r_joint != r_n1:
+        valid = _valid_slots(col_weights, S1, d)
+        n1 = _active(blowup_rows, S1, d)
+        lifted = _active(rescaled_rows, S1, d)
+        r_n1 = _rank(n1, valid)
+        if _rank(n1 + lifted, valid) != r_n1:
             raise OracleError(
                 f"containment violation: lifted rescaled module escapes the "
                 f"blowup relation module at degree {d} for {S}")
-        r_lift = integer_rank(_degree_matrix(lifted, valid_cols))
-        r_resc = integer_rank(_degree_matrix(resc, valid_cols))
-        r_orig = integer_rank(_degree_matrix(orig, valid_cols))
+        r_lift = _rank(lifted, valid)
+        r_resc = _rank(_active(rescaled_rows, S, d), valid)
+        # the original module is the rescaled one times x^2
+        r_orig = _rank(_active(rescaled_rows, S, d - 2 * q), valid)
         if d > cutoff:
-            if r_orig != len(valid_cols):
+            if r_orig != valid.bit_count():
                 raise OracleError(
                     f"cutoff violation: relation modules not full at degree "
                     f"{d} beyond {cutoff} for {S}")
@@ -291,17 +307,3 @@ def relation_module_lengths(S: NumericalSemigroup,
             f"{2 * n_vars * q} for {S}")
     return RelationModuleLengths(*totals)
 
-
-@lru_cache(maxsize=None)
-def differential_dims_of_transform(S: NumericalSemigroup,
-                                   reverse_tiebreak: bool = False
-                                   ) -> GradedDimensionLedger:
-    """Differentials of the transformed curve over the original parameter.
-
-    The transformed ring is generated over the original parameter line by
-    the transformed variables, so its relative differentials are presented
-    by the blowup relations differentiated in those variables.
-    """
-    if S.embdim == 1:
-        return GradedDimensionLedger((), 0, 0, (0, 0))
-    return relative_differential_dims(blowup_presentation(S, reverse_tiebreak))

@@ -59,9 +59,6 @@ class NumericalSemigroup:
         f = self.frobenius
         return all(self.contains(z) != self.contains(f - z) for z in range(f + 1))
 
-    def apery_set(self, modulus: int) -> list[int]:
-        return apery_set(self, modulus)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented

@@ -58,6 +58,36 @@ def fraction_determinant(matrix) -> int:
     return int(det)
 
 
+def bareiss_determinant(matrix) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    A second reference beside fraction_determinant: every intermediate
+    value stays an integer because each division by the previous pivot
+    is exact (Bareiss 1968).
+    """
+    m = [list(r) for r in matrix]
+    n = len(m)
+    if any(len(r) != n for r in m):
+        raise ValueError("determinant requires a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 def naive_members(generators, bound: int) -> set[int]:
     """Members of the additive closure of the generators, up to bound."""
     reached = {0}

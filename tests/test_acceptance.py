@@ -4,13 +4,15 @@ Five criteria, one test and one printed verdict line each (run with -s to
 see the lines for passing criteria; pytest shows them for failures).  All
 quantities are exact integers, so every comparison is equality, never a
 tolerance.  Criterion 2 pins the documented outcome of the genus <= 8
-sweep: the Fitting different equals the trace different only through
-deviation one, so kaehler_equals_dedekind fails on exactly the 105 curves
-of deviation >= 2, smallest <4,5,6,7> with differents {15+} and {11+}.
-The criterion fails on any other identity failure, on a missing or extra
-violator, or on a changed witness.  A further gate repeats it on the 274
-curves of genus <= 9, where the violators are the 206 curves of deviation
->= 2.
+sweep: the Fitting different equals the trace different on every curve
+of deviation at most one, and kaehler_equals_dedekind fails on exactly
+the 105 curves of deviation >= 2, smallest <4,5,6,7> with differents
+{15+} and {11+}.  The criterion fails on any other identity failure, on
+a missing or extra violator, or on a changed witness.  A further gate
+repeats it on the 274 curves of genus <= 9, where the violators are the
+206 curves of deviation >= 2.  Deviation >= 2 does not force a violation
+in general: <9,10,11,12,15>, of genus 12, has deviation 2 and both
+differents {44+}, and a separate test pins it passing every check.
 """
 
 import subprocess
@@ -31,6 +33,7 @@ from curvetorsion import (
     different_inverse_gap,
     enumerate_by_genus,
     from_generators,
+    full_report,
     general_drop,
     genus_via_derivative_spans,
     kaehler_different,
@@ -211,8 +214,9 @@ def test_criterion_2_exhaustive_identity_campaign(campaign):
             check.holds(f"deviation <= 1 curve {report.generators} "
                         "passes every identity", report.all_pass)
 
-    # The different-equality identity genuinely fails past deviation one,
-    # so this criterion pins the documented violation set: its size is
+    # Through genus 8 the different-equality identity fails on every
+    # curve past deviation one, so this criterion pins the documented
+    # violation set: its size is
     # counted from the presentations (deviation >= 2), not from the
     # differents.  Any other failing identity, a missing or extra violator,
     # or a changed witness turns the criterion red.
@@ -276,6 +280,25 @@ def test_genus_9_exhaustive_identity_campaign(campaign):
                  f"274 curves in {elapsed:.1f}s; kaehler_equals_dedekind "
                  "fails on exactly the 206 deviation >= 2 curves, nothing "
                  "else fails")
+
+
+def test_deviation_two_curve_whose_differents_agree():
+    # Deviation >= 2 does not force kaehler_equals_dedekind to fail: on
+    # <9,10,11,12,15> (genus 12) the Fitting and trace differents are
+    # both {44+}, so every applicable check holds, under either tie-break.
+    S = from_generators((9, 10, 11, 12, 15))
+    for reverse_tiebreak in (False, True):
+        report = full_report(S, reverse_tiebreak)
+        assert (report.genus, report.deviation) == (12, 2)
+        assert len(report.checks) == 22
+        assert report.checks["kaehler_equals_dedekind"] is True
+        assert report.all_pass
+        assert report.kaehler_different == "{44+}"
+    trace = dedekind_different(S)
+    assert (trace.members, trace.tail_start) == ((), 44)
+    code, out, _ = run_cli("analyze", "9", "10", "11", "12", "15",
+                           "--format", "jsonl")
+    assert code == 0 and '"all_pass": true' in out
 
 
 def test_criterion_3_enumeration_counts():

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from curvetorsion import (OracleError, blowup, blowup_presentation,
-                          colength_via_derivative_spans,
-                          differential_dims_of_transform, exactness_defect,
+from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
+                          Presentation, blowup, blowup_presentation,
+                          colength_via_derivative_spans, exactness_defect,
                           from_generators, genus_via_derivative_spans,
                           presentation_of, relation_module_lengths,
                           relative_differential_dims, torsion_length)
+from curvetorsion.oracle import _rank
 
 # (generators) -> (total, per-degree nonzero dimensions)
 DIFFERENTIAL_DIMS = {
@@ -137,11 +138,12 @@ BLOWUP_DIM_TOTALS = {
 @pytest.mark.parametrize("gens", sorted(BLOWUP_DIM_TOTALS))
 def test_transform_differential_dimensions(gens):
     S = from_generators(gens)
-    ledger = differential_dims_of_transform(S)
+    # the transformed ring over the original parameter line is presented
+    # by the blowup relations differentiated in the transformed variables
+    ledger = relative_differential_dims(blowup_presentation(S))
     assert ledger.total == BLOWUP_DIM_TOTALS[gens]
-    # same module, computed from the blowup presentation directly
-    direct = relative_differential_dims(blowup_presentation(S))
-    assert direct == ledger
+    assert sum(d for _, d in ledger.per_degree) == ledger.total
+    assert max(d for d, _ in ledger.per_degree) <= ledger.cutoff
 
 
 def test_blowup_torsion_pinned():
@@ -186,3 +188,16 @@ def test_torsion_equals_differential_total_minus_known_parts():
         total = relative_differential_dims(presentation_of(S)).total
         assert torsion_length(S).length == \
             total - (S.multiplicity - 1) - exactness_defect(S)
+
+
+def test_invalid_slot_guard_fires_on_a_planted_row():
+    # the one relation of <2,3>, y^2 - x^3, declared in degree 4 instead
+    # of 6: in degree 4 its row is active, but y has no multiple there
+    planted = BinomialRelation((0, 2), (3, 0), 4)
+    pres = Presentation(GeneratorTuple((2, 3)), (planted,), 1, (4,))
+    with pytest.raises(OracleError,
+                       match="coefficient 2 in invalid slot 0"):
+        relative_differential_dims(pres)
+    # the same row straight into the shared rank helper
+    with pytest.raises(OracleError, match="invalid slot 1"):
+        _rank([((0, 0, 0), 0), ((4, -3, 0), 0b011)], 0b101)

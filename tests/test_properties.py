@@ -13,12 +13,14 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvetorsion import (blowup, complementary_module, dedekind_different,
-                          enumerate_by_genus, from_generators, full_report,
-                          inverse, make_value_set, presentation_of,
-                          value_set_of)
-from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
-from oracles import fraction_determinant, fraction_rank, naive_members
+from curvetorsion import (apery_set, blowup, complementary_module,
+                          dedekind_different, enumerate_by_genus,
+                          from_generators, full_report, inverse,
+                          make_value_set, presentation_of, value_set_of)
+from curvetorsion.linalg import Echelon, integer_rank
+from curvetorsion.oracle import _rank
+from oracles import (bareiss_determinant, fraction_determinant, fraction_rank,
+                     naive_members)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -76,15 +78,30 @@ def test_rank_agrees_with_fraction_elimination(matrix):
     assert integer_rank(matrix) == fraction_rank(matrix)
 
 
+@given(matrices, st.integers(min_value=0, max_value=31))
+def test_slot_rank_is_the_rank_of_the_restricted_matrix(matrix, valid):
+    # rows whose invalid slots are zero: ranking them at full width must
+    # give the rank of the matrix restricted to the valid columns
+    ncols = len(matrix[0]) if matrix else 5
+    valid &= (1 << ncols) - 1
+    keep = [j for j in range(ncols) if valid >> j & 1]
+    rows = [tuple(x if valid >> j & 1 else 0 for j, x in enumerate(row))
+            for row in matrix]
+    supported = [(row, sum(1 << j for j, x in enumerate(row) if x))
+                 for row in rows]
+    restricted = [[row[j] for j in keep] for row in rows]
+    assert _rank(supported, valid) == fraction_rank(restricted)
+
+
 @given(square_matrices)
 def test_determinant_agrees_with_fraction_elimination(matrix):
-    assert integer_determinant(matrix) == fraction_determinant(matrix)
+    assert bareiss_determinant(matrix) == fraction_determinant(matrix)
 
 
 @given(square_matrices)
 def test_zero_determinant_means_rank_deficient(matrix):
     n = len(matrix)
-    assert (integer_determinant(matrix) == 0) == (integer_rank(matrix) < n)
+    assert (fraction_determinant(matrix) == 0) == (integer_rank(matrix) < n)
 
 
 @given(row_sequences())
@@ -118,7 +135,7 @@ def test_apery_identities(gens):
     gens = _normalize(gens)
     S = from_generators(gens)
     q = S.multiplicity
-    ap = S.apery_set(q)
+    ap = apery_set(S, q)
     assert sorted(w % q for w in ap) == list(range(q))
     assert S.frobenius == max(ap) - q
     assert 2 * q * S.genus == 2 * sum(ap) - q * (q - 1)

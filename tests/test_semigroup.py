@@ -82,15 +82,15 @@ def test_invalid_generators_raise():
 
 
 def test_apery_sets():
-    assert from_generators((4, 6, 7)).apery_set(4) == [0, 13, 6, 7]
-    assert from_generators((3, 4, 5)).apery_set(3) == [0, 4, 5]
-    assert from_generators((1,)).apery_set(1) == [0]
+    assert apery_set(from_generators((4, 6, 7)), 4) == [0, 13, 6, 7]
+    assert apery_set(from_generators((3, 4, 5)), 3) == [0, 4, 5]
+    assert apery_set(from_generators((1,)), 1) == [0]
 
 
 def test_apery_set_properties():
     S = from_generators((5, 7, 9, 11, 13))
     q = S.multiplicity
-    ap = S.apery_set(q)
+    ap = apery_set(S, q)
     assert len(ap) == q and ap[0] == 0
     for r, w in enumerate(ap):
         assert w % q == r
@@ -103,9 +103,9 @@ def test_apery_set_properties():
 def test_apery_invalid_modulus():
     S = from_generators((4, 6, 7))
     with pytest.raises(SemigroupError):
-        S.apery_set(5)
+        apery_set(S, 5)
     with pytest.raises(SemigroupError):
-        S.apery_set(0)
+        apery_set(S, 0)
     with pytest.raises(SemigroupError):
         apery_set(S, -4)
 
