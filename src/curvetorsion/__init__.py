@@ -8,6 +8,8 @@ together.  Every closed formula is checked against an exact graded
 oracle, and every oracle guards its own degree cutoffs.
 """
 
+import types
+
 from .campaign import (CampaignConfig, CampaignSummary, ChainResult, ChainStep,
                        build_chain, run_campaign)
 from .errors import FormulaNotApplicable, OracleError
@@ -35,24 +37,6 @@ from .semigroup import (BlowupResult, NumericalSemigroup, SemigroupError,
                         apery_set, blowup, colength, enumerate_by_genus,
                         from_generators)
 
-__all__ = [
-    "BinomialRelation", "BlowupResult", "CampaignConfig", "CampaignSummary",
-    "ChainResult", "ChainStep", "CHECK_NAMES", "CurveReport",
-    "FormulaNotApplicable", "GeneratorTuple", "GradedDimensionLedger",
-    "IdealError", "NumericalSemigroup", "OracleError", "Presentation",
-    "PresentationError", "RelationModuleLengths", "SemigroupError",
-    "TorsionResult", "ValueSet", "apery_set", "blowup", "blowup_presentation",
-    "build_chain", "chain_drop_sum", "ci_drop_lower_bound",
-    "classify_transform", "colength", "colength_via_derivative_spans",
-    "complementary_module", "complete_intersection_torsion",
-    "dedekind_different", "deviation", "different_inverse_gap",
-    "drop_formula_for", "enumerate_by_genus", "exactness_defect",
-    "factorizations", "fitting_minor_degrees", "from_generators",
-    "full_report", "general_drop",
-    "genus_via_derivative_spans", "inverse", "kaehler_different",
-    "make_value_set", "minimal_presentation", "nice_aci_drop",
-    "normalization_differential_colength", "presentation_of",
-    "quotient_length", "relation_module_lengths", "relations_generate",
-    "relative_differential_dims", "rescaled_relation_generators",
-    "run_campaign", "stable_ci_drop", "torsion_length", "value_set_of",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_")
+                 and not isinstance(value, types.ModuleType))

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .linalg import Echelon
-from .presentation import Presentation, _tuple_semigroup
-from .semigroup import NumericalSemigroup, apery_set
+from .presentation import Presentation
+from .semigroup import NumericalSemigroup, apery_set, from_generators
 
 
 class IdealError(ValueError):
@@ -157,19 +157,15 @@ def fitting_minor_degrees(pres: Presentation) -> tuple[int, ...]:
                   for rel in pres.relations)
     degrees = [d for d, _ in rows]
 
-    basis = Echelon()
-    base_sum = 0
-    for d, vec in rows:
-        if basis.rank == n_vars:
-            break
-        grown = basis.extend(vec)
-        if grown is not None:
-            basis = grown
-            base_sum += d
+    basis, base_sum = Echelon(), 0
+    for d, vec in rows:  # absorb stops taking rows once the rank is full
+        grown = basis.absorb((vec,))
+        base_sum += d * (grown.rank - basis.rank)
+        basis = grown
     if basis.rank < n_vars:
         raise IdealError("all maximal minors vanish")
 
-    conductor = _tuple_semigroup(pres.gen_tuple.weights).conductor
+    conductor = from_generators(pres.gen_tuple.weights).conductor
     if conductor == 0:
         return (base_sum - col_sum,)
     limit = base_sum + conductor

@@ -1,46 +1,14 @@
 """Exact linear algebra over the integers.
 
-All graded ranks in this package reduce to ranks of small integer
-matrices.  Fraction-free (Bareiss) elimination keeps every intermediate
-value an integer, so there is no floating point anywhere.
+All graded ranks in this package are ranks of small integer matrices,
+and one fraction-free elimination, Echelon, computes them all, so there
+is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals of an integer matrix given as a list of rows."""
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, len(m)):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        lead = m[rank]
-        for i in range(rank + 1, len(m)):
-            row = m[i]
-            f = row[col]
-            for j in range(col + 1, ncols):
-                # Bareiss update: division by the previous pivot is exact
-                row[j] = (lead[col] * row[j] - f * lead[j]) // prev
-            row[col] = 0
-        prev = lead[col]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+from typing import Iterable, Sequence
 
 
 class Echelon:
@@ -49,9 +17,9 @@ class Echelon:
     Each stored row is primitive (its entries have gcd 1) and is zero in
     the pivot column of every row stored before it, so a candidate row is
     reduced against all of them in one pass and is independent exactly
-    when something survives.  The form is persistent: extend returns a new
-    Echelon and leaves this one as it was, so a depth-first search
-    backtracks by dropping a reference.
+    when something survives.  The form is persistent: extend and absorb
+    return a new Echelon and leave this one as it was, so a depth-first
+    search backtracks by dropping a reference.
     """
 
     __slots__ = ("rows",)
@@ -65,15 +33,35 @@ class Echelon:
 
     def extend(self, vec: Sequence[int]) -> Echelon | None:
         """The echelon with vec added, or None when vec is dependent."""
-        v = list(vec)
-        for pivot, row in self.rows:
-            f = v[pivot]
-            if f:
-                p = row[pivot]
-                v = [p * a - f * b for a, b in zip(v, row)]
-        pivot = next((j for j, a in enumerate(v) if a), None)
-        if pivot is None:
-            return None
-        g = gcd(*v)
-        return Echelon(self.rows + ((pivot, tuple(a // g for a in v)),))
+        grown = self.absorb((vec,))
+        return grown if grown.rank > self.rank else None
 
+    def absorb(self, vecs: Iterable[Sequence[int]]) -> Echelon:
+        """The echelon of these rows and vecs; it stops reading vecs once
+        the rank equals the row width, since no later row can raise it."""
+        rows = list(self.rows)
+        for vec in vecs:
+            if len(rows) == len(vec):
+                break
+            v = vec
+            for pivot, row in rows:
+                f = v[pivot]
+                if f:
+                    p = row[pivot]
+                    v = [p * a - f * b for a, b in zip(v, row)]
+            for pivot, a in enumerate(v):
+                if a:
+                    g = gcd(*v)
+                    rows.append((pivot, tuple(v) if g == 1
+                                 else tuple([a // g for a in v])))
+                    break
+        return Echelon(tuple(rows))
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals of an integer matrix given as a list of rows."""
+    if not rows:
+        return 0
+    if len(rows) > len(rows[0]):  # fewer, longer vectors: faster
+        rows = list(zip(*rows))
+    return Echelon().absorb(rows).rank

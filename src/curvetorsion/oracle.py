@@ -18,11 +18,10 @@ from functools import lru_cache
 
 from .errors import OracleError
 from .ideals import fitting_minor_degrees
-from .linalg import integer_rank
-from .presentation import (GeneratorTuple, Presentation, _tuple_semigroup,
-                           blowup_presentation, presentation_of,
-                           rescaled_relation_generators)
-from .semigroup import NumericalSemigroup, blowup
+from .linalg import Echelon, integer_rank
+from .presentation import (GeneratorTuple, Presentation, blowup_presentation,
+                           presentation_of, rescaled_relation_generators)
+from .semigroup import NumericalSemigroup, blowup, from_generators
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,19 @@ def _active(rows, ring: NumericalSemigroup, d: int):
             if ring.contains(d - deg)]
 
 
+def _active_mask(rows, ring: NumericalSemigroup, d: int) -> int:
+    """The same rows as _active, as a bitmask of row indices."""
+    return sum(1 << i for i, (_, _, deg) in enumerate(rows)
+               if ring.contains(d - deg))
+
+
 def _valid_slots(weights, ring: NumericalSemigroup, d: int) -> int:
     """Bitmask of the slots whose shift by degree d lands in the ring."""
     return sum(1 << i for i, w in enumerate(weights) if ring.contains(d - w))
 
 
-def _rank(rows, valid: int) -> int:
-    """Rank of the active rows restricted to the valid slots of a degree.
+def _checked(rows, valid: int):
+    """The coefficients of the rows, checked to vanish off the valid slots.
 
     A nonzero coefficient outside a valid slot would mean the module
     element escapes the ambient free module, which the construction
@@ -105,7 +110,32 @@ def _rank(rows, valid: int) -> int:
             i = (bad & -bad).bit_length() - 1
             raise OracleError(f"derivative row has coefficient {coeffs[i]} "
                               f"in invalid slot {i}")
-    return integer_rank([coeffs for coeffs, _ in rows])
+    return [coeffs for coeffs, _ in rows]
+
+
+def _rank(rows, valid: int) -> int:
+    """Rank of the active rows restricted to the valid slots of a degree."""
+    return integer_rank(_checked(rows, valid))
+
+
+def _nested_ranks(rows, masks, valid: int) -> list[int]:
+    """Restricted rank of the rows picked by each of a chain of row masks.
+
+    One echelon absorbs the rows of the first mask, then the rows each
+    later mask adds.  That is exact only if every mask contains the one
+    before, which is checked.
+    """
+    echelon, seen, ranks = Echelon(), 0, []
+    for mask in masks:
+        if seen & ~mask:
+            raise OracleError("row masks of a rank chain are not nested")
+        new = mask & ~seen
+        if new:
+            echelon = echelon.absorb(_checked(
+                [row[:2] for i, row in enumerate(rows) if new >> i & 1], valid))
+        ranks.append(echelon.rank)
+        seen = mask
+    return ranks
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +153,7 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     tup = pres.gen_tuple
     if not tup.var_weights:
         return GradedDimensionLedger((), 0, 0, (0, 0))
-    ambient = _tuple_semigroup(tup.weights)
+    ambient = from_generators(tup.weights)
     width = max(tup.weights)
     cutoff = width + ambient.conductor + min(fitting_minor_degrees(pres))
     rows = _derivative_rows(pres.relations, tup.has_x)
@@ -276,21 +306,24 @@ def relation_module_lengths(S: NumericalSemigroup,
 
     blowup_rows = _derivative_rows(bpres.relations, True)
     rescaled_rows = _derivative_rows(rescaled, True)
+    joint_rows, shift = blowup_rows + rescaled_rows, len(blowup_rows)
 
     totals = [0, 0, 0, 0]
     for d in range(cutoff + width + 1):
         valid = _valid_slots(col_weights, S1, d)
-        n1 = _active(blowup_rows, S1, d)
-        lifted = _active(rescaled_rows, S1, d)
-        r_n1 = _rank(n1, valid)
-        if _rank(n1 + lifted, valid) != r_n1:
+        n1 = _active_mask(blowup_rows, S1, d)
+        lifted = _active_mask(rescaled_rows, S1, d)
+        # the original module is the rescaled one times x^2; as 2q is in
+        # S and S is in S1, the original, rescaled and lifted rows nest
+        r_orig, r_resc, r_lift = _nested_ranks(rescaled_rows, (
+            _active_mask(rescaled_rows, S, d - 2 * q),
+            _active_mask(rescaled_rows, S, d), lifted), valid)
+        r_n1, r_joint = _nested_ranks(joint_rows, (n1, n1 | lifted << shift),
+                                      valid)
+        if r_joint != r_n1:
             raise OracleError(
                 f"containment violation: lifted rescaled module escapes the "
                 f"blowup relation module at degree {d} for {S}")
-        r_lift = _rank(lifted, valid)
-        r_resc = _rank(_active(rescaled_rows, S, d), valid)
-        # the original module is the rescaled one times x^2
-        r_orig = _rank(_active(rescaled_rows, S, d - 2 * q), valid)
         if d > cutoff:
             if r_orig != valid.bit_count():
                 raise OracleError(

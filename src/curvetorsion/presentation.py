@@ -123,14 +123,9 @@ def _support_components(facs: Sequence[tuple[int, ...]]) -> list[list[tuple[int,
     return list(groups.values())
 
 
-@lru_cache(maxsize=None)
-def _tuple_semigroup(weights: tuple[int, ...]) -> NumericalSemigroup:
-    return from_generators(weights)
-
-
 def betti_degree_bound(gen_tuple: GeneratorTuple) -> int:
     """Degree past which the shared-support graph is always connected."""
-    amb = _tuple_semigroup(gen_tuple.weights)
+    amb = from_generators(gen_tuple.weights)
     return amb.conductor + 2 * max(gen_tuple.weights)
 
 
@@ -220,14 +215,16 @@ def blowup_presentation(S: NumericalSemigroup,
     return pres
 
 
-def deviation(S: NumericalSemigroup, reverse_tiebreak: bool = False) -> int:
+def deviation(S: NumericalSemigroup) -> int:
     """Excess of the minimal relation count over embdim - 1.
 
-    0 means complete intersection, 1 almost complete intersection.
+    0 means complete intersection, 1 almost complete intersection.  No
+    tie-break changes it: each degree adds its component count minus one.
     """
     if S.embdim == 1:
         return 0
-    return presentation_of(S, reverse_tiebreak).mu - (S.embdim - 1)
+    # positional False: the cache key every other caller uses
+    return presentation_of(S, False).mu - (S.embdim - 1)
 
 
 def classify_transform(S: NumericalSemigroup) -> str:

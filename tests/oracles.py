@@ -88,6 +88,38 @@ def bareiss_determinant(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def bareiss_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    A second reference beside fraction_rank, and no relative of the
+    package's echelon: it eliminates column by column on the whole
+    matrix, dividing each update exactly by the previous pivot.
+    """
+    m = [list(r) for r in rows if any(r)]
+    if not m:
+        return 0
+    ncols = len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        lead = m[rank]
+        for i in range(rank + 1, len(m)):
+            row = m[i]
+            f = row[col]
+            for j in range(col + 1, ncols):
+                row[j] = (lead[col] * row[j] - f * lead[j]) // prev
+            row[col] = 0
+        prev = lead[col]
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
+
+
 def naive_members(generators, bound: int) -> set[int]:
     """Members of the additive closure of the generators, up to bound."""
     reached = {0}

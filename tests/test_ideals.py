@@ -6,12 +6,11 @@ import pytest
 
 from curvetorsion import (IdealError, ValueSet, blowup_presentation,
                           complementary_module, dedekind_different,
-                          different_inverse_gap,
+                          deviation, different_inverse_gap,
                           enumerate_by_genus, fitting_minor_degrees,
                           from_generators, inverse, kaehler_different,
                           make_value_set, presentation_of, quotient_length,
                           value_set_of)
-from curvetorsion.presentation import _tuple_semigroup
 from oracles import (brute_force_minor_degrees,
                      reference_fitting_minor_degrees)
 
@@ -128,7 +127,7 @@ def test_fitting_degrees_match_exhaustive_minor_search(gens):
     S = from_generators(gens)
     pres = presentation_of(S)
     got = fitting_minor_degrees(pres)
-    conductor = _tuple_semigroup(pres.gen_tuple.weights).conductor
+    conductor = from_generators(pres.gen_tuple.weights).conductor
     limit = min(got) + max(conductor, 1)
     brute = brute_force_minor_degrees(pres, limit)
     assert set(d for d in got if d < limit) == brute
@@ -228,3 +227,15 @@ def test_value_set_equality_is_structural():
     assert vs((2, 3), [3], 5) == vs((2, 3), [3, 5, 6], 7)
     assert vs((2, 3), [3], 5) != vs((2, 3), [], 3)
     assert isinstance(vs((2, 3), [3], 5), ValueSet)
+
+
+def test_fitting_different_inside_the_trace_different_through_genus_9():
+    # on every singular curve the Fitting different lies inside the trace
+    # different, and strictly exactly at deviation >= 2; the first
+    # exception to strictness, <9,10,11,12,15>, has genus 12
+    singular = [S for S in enumerate_by_genus(9) if S.embdim > 1]
+    assert len(singular) == 273
+    for S in singular:
+        gap = quotient_length(dedekind_different(S),
+                              kaehler_different(S, presentation_of(S)))
+        assert (gap > 0) == (deviation(S) >= 2), S

@@ -1,11 +1,13 @@
-"""Integer elimination against a Fraction-based reference implementation."""
+"""The package's echelon elimination against two reference eliminations:
+plain Gaussian elimination over Fraction and fraction-free Bareiss."""
 
 from __future__ import annotations
 
 import pytest
 
-from curvetorsion.linalg import integer_rank
-from oracles import bareiss_determinant, fraction_determinant, fraction_rank
+from curvetorsion.linalg import Echelon, integer_rank
+from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
+                     fraction_rank)
 
 MATRICES = [
     [],
@@ -25,6 +27,11 @@ MATRICES = [
 @pytest.mark.parametrize("matrix", MATRICES)
 def test_rank_matches_fraction_elimination(matrix):
     assert integer_rank(matrix) == fraction_rank(matrix)
+
+
+@pytest.mark.parametrize("matrix", MATRICES)
+def test_rank_matches_bareiss_elimination(matrix):
+    assert integer_rank(matrix) == bareiss_rank(matrix)
 
 
 def test_pinned_ranks():
@@ -74,3 +81,37 @@ def test_determinant_requires_square_input():
 def test_rank_handles_zero_leading_columns():
     assert integer_rank([[0, 0, 5], [0, 3, 0]]) == 2
     assert integer_rank([[0, 1], [1, 0], [1, 1]]) == 2
+
+
+def test_full_rank_stop_skips_later_rows():
+    # once the rank equals the width, the third row cannot raise it
+    assert integer_rank([[1, 0], [0, 1], [5, 7]]) == 2
+    assert Echelon().absorb([[1, 0], [0, 1], [5, 7]]).rank == 2
+
+    class Unreadable(tuple):
+        def __getitem__(self, index):
+            raise AssertionError("reduced a row past full rank")
+
+    def rows():
+        yield (2, 3)
+        yield (0, 0)
+        yield (1, 1)
+        yield Unreadable((5, 7))
+        raise AssertionError("read a row past full rank")
+
+    assert Echelon().absorb(rows()).rank == 2
+
+
+def test_zero_rows_add_no_rank():
+    assert integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
+    assert integer_rank([[0, 0], [3, 4], [0, 0], [6, 8]]) == 1
+    assert Echelon().absorb([[0, 0, 0]]).rank == 0
+    assert Echelon().extend([0, 0]) is None
+
+
+def test_absorb_continues_an_echelon_without_changing_it():
+    start = Echelon().absorb([[1, 2, 3]])
+    grown = start.absorb([[2, 4, 6], [0, 1, 1]])
+    assert (start.rank, grown.rank) == (1, 2)
+    assert grown.absorb([[1, 3, 4]]).rank == 2
+    assert grown.absorb([[0, 0, 1]]).rank == 3

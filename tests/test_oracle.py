@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
@@ -10,7 +12,8 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
                           from_generators, genus_via_derivative_spans,
                           presentation_of, relation_module_lengths,
                           relative_differential_dims, torsion_length)
-from curvetorsion.oracle import _rank
+from curvetorsion import oracle
+from curvetorsion.oracle import _nested_ranks, _rank
 
 # (generators) -> (total, per-degree nonzero dimensions)
 DIFFERENTIAL_DIMS = {
@@ -201,3 +204,38 @@ def test_invalid_slot_guard_fires_on_a_planted_row():
     # the same row straight into the shared rank helper
     with pytest.raises(OracleError, match="invalid slot 1"):
         _rank([((0, 0, 0), 0), ((4, -3, 0), 0b011)], 0b101)
+
+
+def test_nesting_guard_fires_on_masks_that_are_not_nested():
+    rows = [((1, 0), 0b01, 0), ((0, 1), 0b10, 0), ((1, 1), 0b11, 0)]
+    assert _nested_ranks(rows, (0b001, 0b011, 0b111), 0b11) == [1, 2, 2]
+    # the second mask drops row 0, so one echelon cannot give its rank
+    with pytest.raises(OracleError, match="not nested"):
+        _nested_ranks(rows, (0b001, 0b110), 0b11)
+    # every row the chain takes in passes the slot guard
+    with pytest.raises(OracleError, match="invalid slot 1"):
+        _nested_ranks(rows, (0b001, 0b011), 0b01)
+
+
+def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
+    S = from_generators((4, 6, 7))
+    # the cached function would hide the planted faults
+    lengths = relation_module_lengths.__wrapped__
+    real_blowup_presentation = oracle.blowup_presentation
+    real_rescaled = oracle.rescaled_relation_generators
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "blowup_presentation", lambda S, tb=False:
+                  dataclasses.replace(real_blowup_presentation(S, tb),
+                                      relations=()))
+        with pytest.raises(OracleError, match="containment violation"):
+            lengths(S)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "rescaled_relation_generators",
+                  lambda S, pres: real_rescaled(S, pres)[:-1])
+        with pytest.raises(OracleError, match="cutoff violation"):
+            lengths(S)
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "fitting_minor_degrees", lambda pres: (-30,))
+        with pytest.raises(OracleError, match="rescaling length check"):
+            lengths(S)
+    assert lengths(S) == relation_module_lengths(S)

@@ -18,9 +18,9 @@ from curvetorsion import (apery_set, blowup, complementary_module,
                           from_generators, full_report, inverse,
                           make_value_set, presentation_of, value_set_of)
 from curvetorsion.linalg import Echelon, integer_rank
-from curvetorsion.oracle import _rank
-from oracles import (bareiss_determinant, fraction_determinant, fraction_rank,
-                     naive_members)
+from curvetorsion.oracle import _nested_ranks, _rank
+from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
+                     fraction_rank, naive_members)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -76,6 +76,20 @@ def _normalize(gens):
 @given(matrices)
 def test_rank_agrees_with_fraction_elimination(matrix):
     assert integer_rank(matrix) == fraction_rank(matrix)
+    assert integer_rank(matrix) == bareiss_rank(matrix)
+
+
+@given(row_sequences(), st.data())
+def test_chain_ranks_are_the_ranks_of_the_unions(rows, data):
+    # each row joins the chain at part 0, 1 or 2, or never (3)
+    joins = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                               min_size=len(rows), max_size=len(rows)))
+    masks = [sum(1 << i for i, j in enumerate(joins) if j <= part)
+             for part in range(3)]
+    expected = [fraction_rank([row for row, j in zip(rows, joins)
+                               if j <= part]) for part in range(3)]
+    triples = [(tuple(row), 0, 0) for row in rows]
+    assert _nested_ranks(triples, masks, 0) == expected
 
 
 @given(matrices, st.integers(min_value=0, max_value=31))
