@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import FormulaNotApplicable, OracleError
 from .formulas import CurveReport, _chain_drops, full_report
@@ -64,6 +65,15 @@ def build_chain(S: NumericalSemigroup,
                        sum(s.formula_drop for s in steps))
 
 
+def corpus(max_genus: int, max_multiplicity: int | None = None
+           ) -> Iterator[NumericalSemigroup]:
+    """The curves of genus <= max_genus, in enumeration order, without
+    those of multiplicity above max_multiplicity when it is given."""
+    for S in enumerate_by_genus(max_genus):
+        if max_multiplicity is None or S.multiplicity <= max_multiplicity:
+            yield S
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     max_genus: int
@@ -108,9 +118,7 @@ def run_campaign(config: CampaignConfig
     order and content are deterministic for a given configuration.
     """
     jobs = [(S.min_generators, config.reverse_tiebreak)
-            for S in enumerate_by_genus(config.max_genus)
-            if config.max_multiplicity is None
-            or S.multiplicity <= config.max_multiplicity]
+            for S in corpus(config.max_genus, config.max_multiplicity)]
 
     reports: list[CurveReport] = []
     by_genus: dict[int, int] = {}

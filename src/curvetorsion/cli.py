@@ -18,9 +18,9 @@ from itertools import chain as chained
 import click
 
 from .campaign import (_DOMAIN_ERRORS, CampaignConfig, ChainResult,
-                       build_chain, run_campaign)
+                       build_chain, corpus, run_campaign)
 from .formulas import CurveReport, full_report
-from .semigroup import enumerate_by_genus, from_generators
+from .semigroup import from_generators
 
 _FORMAT_OPTION = click.option(
     "--format", "fmt", type=click.Choice(["human", "jsonl", "csv"]),
@@ -214,11 +214,10 @@ def enumerate_cmd(max_genus: int, max_multiplicity: int | None,
     """List the corpus of curves up to a genus bound."""
     counts: dict[int, int] = {}
 
-    def corpus():
-        for S in enumerate_by_genus(max_genus):
-            if max_multiplicity is None or S.multiplicity <= max_multiplicity:
-                counts[S.genus] = counts.get(S.genus, 0) + 1
-                yield S
+    def counted():
+        for S in corpus(max_genus, max_multiplicity):
+            counts[S.genus] = counts.get(S.genus, 0) + 1
+            yield S
 
     def totals():
         for g, c in sorted(counts.items()):
@@ -229,17 +228,17 @@ def enumerate_cmd(max_genus: int, max_multiplicity: int | None,
           lines=chained((f"{_curve_label(S.min_generators)} genus {S.genus} "
                          f"multiplicity {S.multiplicity} embdim {S.embdim}"
                          + (" symmetric" if S.is_symmetric else "")
-                         for S in corpus()), totals()),
+                         for S in counted()), totals()),
           records=({"generators": list(S.min_generators),
                     "genus": S.genus,
                     "multiplicity": S.multiplicity,
                     "embedding_dimension": S.embdim,
-                    "symmetric": S.is_symmetric} for S in corpus()),
+                    "symmetric": S.is_symmetric} for S in counted()),
           header=("generators", "genus", "multiplicity",
                   "embedding_dimension", "symmetric"),
           rows=((_csv_label(S.min_generators), S.genus, S.multiplicity,
                  S.embdim, "yes" if S.is_symmetric else "no")
-                for S in corpus()),
+                for S in counted()),
           notes=totals())
 
 

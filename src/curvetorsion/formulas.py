@@ -19,7 +19,7 @@ from .oracle import (RelationModuleLengths, colength_via_derivative_spans,
                      torsion_length)
 from .presentation import (blowup_presentation, classify_transform, deviation,
                            presentation_of)
-from .semigroup import NumericalSemigroup, blowup, colength
+from .semigroup import NumericalSemigroup, blowup
 
 
 def normalization_differential_colength(S: NumericalSemigroup) -> int:
@@ -51,7 +51,7 @@ def stable_ci_drop(S: NumericalSemigroup) -> int:
     twice the number of gaps removed by the transform."""
     if classify_transform(S) != "stable CI":
         raise FormulaNotApplicable(f"{S} is not a stable complete intersection")
-    return 2 * colength(S, blowup(S).transformed)
+    return 2 * blowup(S).colength
 
 
 def nice_aci_drop(S: NumericalSemigroup,
@@ -64,7 +64,7 @@ def nice_aci_drop(S: NumericalSemigroup,
             f"{S} is not an almost complete intersection with complete "
             f"intersection transform")
     gap = different_inverse_gap(S, presentation_of(S, reverse_tiebreak))
-    return 2 * colength(S, blowup(S).transformed) + gap
+    return 2 * blowup(S).colength + gap
 
 
 def general_drop(S: NumericalSemigroup, reverse_tiebreak: bool = False) -> int:
@@ -77,7 +77,7 @@ def general_drop(S: NumericalSemigroup, reverse_tiebreak: bool = False) -> int:
         raise FormulaNotApplicable("the curve is already regular")
     lengths = relation_module_lengths(S, reverse_tiebreak)
     n_vars = S.embdim - 1
-    away = colength(S, blowup(S).transformed)
+    away = blowup(S).colength
     return lengths.blowup_over_rescaled - n_vars * (away - S.multiplicity)
 
 
@@ -215,7 +215,7 @@ def full_report(S: NumericalSemigroup,
     omega = relative_differential_dims(pres)
     omega1 = relative_differential_dims(bpres)
     dk = kaehler_different(S, pres)
-    away = colength(S, S1)
+    away = step.colength
     n_vars = S.embdim - 1
     q = S.multiplicity
     label = classify_transform(S)

@@ -6,6 +6,13 @@ lands in the coefficient semigroup, and a relation contributes one row:
 the unique monomial multiple of its derivative vector in that degree.
 Dimensions are slot counts minus exact integer ranks.
 
+A row's coefficients do not depend on the degree it is placed in, and
+every coefficient in a slot that is invalid in that degree is zero (the
+slot guard checks it), so the rank in a degree is a function of which
+rows are active there, a row bitmask.  Each oracle call ranks its masks
+through one _MaskedRanks, whose memo lives for that call only; the two
+torsion routes build their own and never share a rank.
+
 Each quantity carries a provable degree cutoff.  The code always computes
 one stability window past the cutoff and raises OracleError if anything
 is still alive there, so a wrong cutoff cannot silently truncate a sum.
@@ -18,7 +25,7 @@ from functools import lru_cache
 
 from .errors import OracleError
 from .ideals import fitting_minor_degrees
-from .linalg import Echelon, integer_rank
+from .linalg import integer_rank
 from .presentation import (GeneratorTuple, Presentation, blowup_presentation,
                            presentation_of, rescaled_relation_generators)
 from .semigroup import NumericalSemigroup, blowup, from_generators
@@ -65,77 +72,55 @@ class RelationModuleLengths:
     rescaled_over_original: int
 
 
-def _derivative_rows(relations, skip_first: bool):
-    """(coefficients, support bitmask, degree) of each relation's row.
+def _present(items, ring: NumericalSemigroup, d: int) -> int:
+    """Bitmask of the items, slot weights or row degrees, whose shift by
+    degree d lands in the ring: the valid slots, or the active rows."""
+    return sum(1 << i for i, w in enumerate(items) if ring.contains(d - w))
 
-    The coefficients do not depend on the degree the row is placed in,
-    so each oracle call builds them once.
+
+class _MaskedRanks:
+    """Restricted ranks of the subsets of one list of rows, by row bitmask.
+
+    Each rank is memoized with the union of its rows' supports, and every
+    call, a memo hit too, checks that union against the degree's valid
+    slots.  A nonzero coefficient outside a valid slot would mean the
+    module element escapes the ambient free module, which the
+    construction makes impossible; it is still checked.  Past that check
+    every invalid column is zero, so the full-width rows have the
+    restricted rank.
     """
-    out = []
-    for rel in relations:
-        coeffs = rel.coefficients(skip_first=skip_first)
-        support = sum(1 << i for i, c in enumerate(coeffs) if c)
-        out.append((coeffs, support, rel.degree))
-    return out
 
+    def __init__(self, vectors, degrees=()):
+        self.vectors = vectors
+        self.degrees = degrees
+        self._supports = [sum(1 << i for i, c in enumerate(v) if c)
+                          for v in vectors]
+        self._memo: dict[int, tuple[int, int]] = {}
 
-def _active(rows, ring: NumericalSemigroup, d: int):
-    """The rows whose monomial multiple exists in degree d over the ring."""
-    return [(coeffs, support) for coeffs, support, deg in rows
-            if ring.contains(d - deg)]
+    @classmethod
+    def of(cls, relations, skip_first: bool) -> _MaskedRanks:
+        """The derivative rows of the relations and their degrees."""
+        return cls([rel.coefficients(skip_first=skip_first)
+                    for rel in relations], [rel.degree for rel in relations])
 
-
-def _active_mask(rows, ring: NumericalSemigroup, d: int) -> int:
-    """The same rows as _active, as a bitmask of row indices."""
-    return sum(1 << i for i, (_, _, deg) in enumerate(rows)
-               if ring.contains(d - deg))
-
-
-def _valid_slots(weights, ring: NumericalSemigroup, d: int) -> int:
-    """Bitmask of the slots whose shift by degree d lands in the ring."""
-    return sum(1 << i for i, w in enumerate(weights) if ring.contains(d - w))
-
-
-def _checked(rows, valid: int):
-    """The coefficients of the rows, checked to vanish off the valid slots.
-
-    A nonzero coefficient outside a valid slot would mean the module
-    element escapes the ambient free module, which the construction
-    makes impossible; it is still checked.  Past that check every invalid
-    column is zero, so the full-width rows have the restricted rank.
-    """
-    for coeffs, support in rows:
-        bad = support & ~valid
+    def rank(self, mask: int, valid: int) -> int:
+        """Rank of the rows in mask restricted to the valid slots."""
+        hit = self._memo.get(mask)
+        if hit is None:
+            picked = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            support = 0
+            for i in picked:
+                support |= self._supports[i]
+            hit = self._memo[mask] = (
+                integer_rank([self.vectors[i] for i in picked]), support)
+        bad = hit[1] & ~valid
         if bad:
-            i = (bad & -bad).bit_length() - 1
-            raise OracleError(f"derivative row has coefficient {coeffs[i]} "
-                              f"in invalid slot {i}")
-    return [coeffs for coeffs, _ in rows]
-
-
-def _rank(rows, valid: int) -> int:
-    """Rank of the active rows restricted to the valid slots of a degree."""
-    return integer_rank(_checked(rows, valid))
-
-
-def _nested_ranks(rows, masks, valid: int) -> list[int]:
-    """Restricted rank of the rows picked by each of a chain of row masks.
-
-    One echelon absorbs the rows of the first mask, then the rows each
-    later mask adds.  That is exact only if every mask contains the one
-    before, which is checked.
-    """
-    echelon, seen, ranks = Echelon(), 0, []
-    for mask in masks:
-        if seen & ~mask:
-            raise OracleError("row masks of a rank chain are not nested")
-        new = mask & ~seen
-        if new:
-            echelon = echelon.absorb(_checked(
-                [row[:2] for i, row in enumerate(rows) if new >> i & 1], valid))
-        ranks.append(echelon.rank)
-        seen = mask
-    return ranks
+            slot = (bad & -bad).bit_length() - 1
+            coeff = next(v[slot] for i, v in enumerate(self.vectors)
+                         if mask >> i & 1 and v[slot])
+            raise OracleError(f"derivative row has coefficient {coeff} "
+                              f"in invalid slot {slot}")
+        return hit[0]
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +141,13 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     ambient = from_generators(tup.weights)
     width = max(tup.weights)
     cutoff = width + ambient.conductor + min(fitting_minor_degrees(pres))
-    rows = _derivative_rows(pres.relations, tup.has_x)
+    rows = _MaskedRanks.of(pres.relations, tup.has_x)
     per_degree = []
     total = 0
     for d in range(cutoff + width + 1):
-        valid = _valid_slots(tup.var_weights, ambient, d)
-        dim = valid.bit_count() - _rank(_active(rows, ambient, d), valid)
+        valid = _present(tup.var_weights, ambient, d)
+        dim = valid.bit_count() \
+            - rows.rank(_present(rows.degrees, ambient, d), valid)
         if dim == 0:
             continue
         if d > cutoff:
@@ -253,13 +239,13 @@ def torsion_length(S: NumericalSemigroup,
 
     weights = pres.gen_tuple.weights
     cutoff, width = ledger.cutoff, max(weights)
-    rows = _derivative_rows(pres.relations, False)
+    rows = _MaskedRanks.of(pres.relations, False)
     contributions = []
     route_b = 0
     for d in range(cutoff + width + 1):
-        valid = _valid_slots(weights, S, d)
+        valid = _present(weights, S, d)
         kernel_dim = valid.bit_count() - 1 if valid else 0
-        contrib = kernel_dim - _rank(_active(rows, S, d), valid)
+        contrib = kernel_dim - rows.rank(_present(rows.degrees, S, d), valid)
         if contrib == 0:
             continue
         if contrib < 0:
@@ -304,22 +290,23 @@ def relation_module_lengths(S: NumericalSemigroup,
         + max(S.min_generators)
     width = max(q, max(col_weights))
 
-    blowup_rows = _derivative_rows(bpres.relations, True)
-    rescaled_rows = _derivative_rows(rescaled, True)
-    joint_rows, shift = blowup_rows + rescaled_rows, len(blowup_rows)
+    # rows below bit len(bpres.relations) are the blowup module's, the
+    # rest the rescaled relations'; the original module is the rescaled
+    # one times x^2, and lifting reads the rescaled rows over S1
+    rows = _MaskedRanks.of(bpres.relations + rescaled, True)
+    blown = (1 << len(bpres.relations)) - 1
 
     totals = [0, 0, 0, 0]
     for d in range(cutoff + width + 1):
-        valid = _valid_slots(col_weights, S1, d)
-        n1 = _active_mask(blowup_rows, S1, d)
-        lifted = _active_mask(rescaled_rows, S1, d)
-        # the original module is the rescaled one times x^2; as 2q is in
-        # S and S is in S1, the original, rescaled and lifted rows nest
-        r_orig, r_resc, r_lift = _nested_ranks(rescaled_rows, (
-            _active_mask(rescaled_rows, S, d - 2 * q),
-            _active_mask(rescaled_rows, S, d), lifted), valid)
-        r_n1, r_joint = _nested_ranks(joint_rows, (n1, n1 | lifted << shift),
-                                      valid)
+        valid = _present(col_weights, S1, d)
+        over_s1 = _present(rows.degrees, S1, d)
+        n1, lifted = over_s1 & blown, over_s1 & ~blown
+        r_orig = rows.rank(_present(rows.degrees, S, d - 2 * q) & ~blown,
+                           valid)
+        r_resc = rows.rank(_present(rows.degrees, S, d) & ~blown, valid)
+        r_lift = rows.rank(lifted, valid)
+        r_n1 = rows.rank(n1, valid)
+        r_joint = rows.rank(over_s1, valid)
         if r_joint != r_n1:
             raise OracleError(
                 f"containment violation: lifted rescaled module escapes the "

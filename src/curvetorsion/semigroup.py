@@ -173,7 +173,7 @@ def blowup(S: NumericalSemigroup) -> BlowupResult:
         return BlowupResult(S, (q,), 0)
     tup = (q,) + tuple(n - q for n in S.min_generators[1:])
     transformed = from_generators(tup)
-    return BlowupResult(transformed, tup, S.genus - transformed.genus)
+    return BlowupResult(transformed, tup, colength(S, transformed))
 
 
 def colength(inner: NumericalSemigroup, outer: NumericalSemigroup) -> int:

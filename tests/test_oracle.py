@@ -13,7 +13,7 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
                           presentation_of, relation_module_lengths,
                           relative_differential_dims, torsion_length)
 from curvetorsion import oracle
-from curvetorsion.oracle import _nested_ranks, _rank
+from curvetorsion.oracle import _MaskedRanks
 
 # (generators) -> (total, per-degree nonzero dimensions)
 DIFFERENTIAL_DIMS = {
@@ -201,20 +201,19 @@ def test_invalid_slot_guard_fires_on_a_planted_row():
     with pytest.raises(OracleError,
                        match="coefficient 2 in invalid slot 0"):
         relative_differential_dims(pres)
-    # the same row straight into the shared rank helper
-    with pytest.raises(OracleError, match="invalid slot 1"):
-        _rank([((0, 0, 0), 0), ((4, -3, 0), 0b011)], 0b101)
+    # the same row straight into the rank helper, behind a valid row
+    with pytest.raises(OracleError, match="coefficient -3 in invalid slot 1"):
+        _MaskedRanks([(1, 0, 0), (4, -3, 0)]).rank(0b11, 0b101)
 
 
-def test_nesting_guard_fires_on_masks_that_are_not_nested():
-    rows = [((1, 0), 0b01, 0), ((0, 1), 0b10, 0), ((1, 1), 0b11, 0)]
-    assert _nested_ranks(rows, (0b001, 0b011, 0b111), 0b11) == [1, 2, 2]
-    # the second mask drops row 0, so one echelon cannot give its rank
-    with pytest.raises(OracleError, match="not nested"):
-        _nested_ranks(rows, (0b001, 0b110), 0b11)
-    # every row the chain takes in passes the slot guard
-    with pytest.raises(OracleError, match="invalid slot 1"):
-        _nested_ranks(rows, (0b001, 0b011), 0b01)
+def test_slot_guard_fires_on_a_memo_hit():
+    rows = _MaskedRanks([(1, 0), (0, 2)])
+    assert rows.rank(0b11, 0b11) == 2
+    # the same mask again, now in a degree where slot 1 is invalid: the
+    # memoized rank must not skip the guard
+    with pytest.raises(OracleError, match="coefficient 2 in invalid slot 1"):
+        rows.rank(0b11, 0b01)
+    assert rows.rank(0b01, 0b01) == 1
 
 
 def test_relation_module_guards_fire_on_planted_faults(monkeypatch):

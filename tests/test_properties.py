@@ -18,7 +18,7 @@ from curvetorsion import (apery_set, blowup, complementary_module,
                           from_generators, full_report, inverse,
                           make_value_set, presentation_of, value_set_of)
 from curvetorsion.linalg import Echelon, integer_rank
-from curvetorsion.oracle import _nested_ranks, _rank
+from curvetorsion.oracle import _MaskedRanks
 from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
                      fraction_rank, naive_members)
 
@@ -79,32 +79,24 @@ def test_rank_agrees_with_fraction_elimination(matrix):
     assert integer_rank(matrix) == bareiss_rank(matrix)
 
 
-@given(row_sequences(), st.data())
-def test_chain_ranks_are_the_ranks_of_the_unions(rows, data):
-    # each row joins the chain at part 0, 1 or 2, or never (3)
-    joins = data.draw(st.lists(st.integers(min_value=0, max_value=3),
-                               min_size=len(rows), max_size=len(rows)))
-    masks = [sum(1 << i for i, j in enumerate(joins) if j <= part)
-             for part in range(3)]
-    expected = [fraction_rank([row for row, j in zip(rows, joins)
-                               if j <= part]) for part in range(3)]
-    triples = [(tuple(row), 0, 0) for row in rows]
-    assert _nested_ranks(triples, masks, 0) == expected
-
-
-@given(matrices, st.integers(min_value=0, max_value=31))
-def test_slot_rank_is_the_rank_of_the_restricted_matrix(matrix, valid):
-    # rows whose invalid slots are zero: ranking them at full width must
-    # give the rank of the matrix restricted to the valid columns
+@given(matrices, st.integers(min_value=0, max_value=31),
+       st.integers(min_value=0, max_value=63))
+def test_slot_rank_is_the_rank_of_the_restricted_matrix(matrix, valid, mask):
+    # rows whose invalid slots are zero: the masked rank at full width
+    # must be the rank of the masked rows restricted to the valid columns
     ncols = len(matrix[0]) if matrix else 5
     valid &= (1 << ncols) - 1
+    mask &= (1 << len(matrix)) - 1
     keep = [j for j in range(ncols) if valid >> j & 1]
     rows = [tuple(x if valid >> j & 1 else 0 for j, x in enumerate(row))
             for row in matrix]
-    supported = [(row, sum(1 << j for j, x in enumerate(row) if x))
-                 for row in rows]
-    restricted = [[row[j] for j in keep] for row in rows]
-    assert _rank(supported, valid) == fraction_rank(restricted)
+    restricted = [[row[j] for j in keep]
+                  for i, row in enumerate(rows) if mask >> i & 1]
+    ranks = _MaskedRanks(rows)
+    assert ranks.rank(mask, valid) == fraction_rank(restricted)
+    # a second request is a memo hit and gives the same rank
+    assert list(ranks._memo) == [mask]
+    assert ranks.rank(mask, valid) == fraction_rank(restricted)
 
 
 @given(square_matrices)
