@@ -30,9 +30,9 @@ from .oracle import (GradedDimensionLedger, RelationModuleLengths,
 from .presentation import (BinomialRelation, GeneratorTuple, Presentation,
                            PresentationError, betti_degree_bound,
                            blowup_presentation, classify_transform,
-                           deviation, factorizations, minimal_presentation,
-                           presentation_of, relations_generate,
-                           rescaled_relation_generators)
+                           deviation, factorization_table,
+                           minimal_presentation, presentation_of,
+                           relations_generate, rescaled_relation_generators)
 from .semigroup import (BlowupResult, NumericalSemigroup, SemigroupError,
                         apery_set, blowup, colength, enumerate_by_genus,
                         from_generators)

@@ -239,7 +239,8 @@ def full_report(S: NumericalSemigroup,
         checks["blowup_colength_matches_gap_count"] = \
             colength_via_derivative_spans(S, S1) == away
         checks["blowup_torsion_via_base_presentation"] = \
-            tor1.length == omega1.total - (q - 1) - defect1
+            tor1.length == omega1.total \
+            - normalization_differential_colength(S) - defect1
         checks["differential_drop_identity"] = \
             omega.total - omega1.total == predicted_drop
         checks["general_drop_identity"] = drop == predicted_drop
@@ -251,7 +252,8 @@ def full_report(S: NumericalSemigroup,
             checks["ci_torsion_formula"] = \
                 tor.length == complete_intersection_torsion(S)
             checks["ci_projective_dimension_split"] = \
-                omega.total == 2 * S.genus + q - 1
+                omega.total == 2 * S.genus \
+                + normalization_differential_colength(S)
             checks["ci_drop_decomposition"] = \
                 lengths.blowup_over_rescaled == lengths.blowup_over_lifted \
                 + n_vars * away

@@ -297,13 +297,16 @@ def relation_module_lengths(S: NumericalSemigroup,
     blown = (1 << len(bpres.relations)) - 1
 
     totals = [0, 0, 0, 0]
+    # resc[d]: the rescaled rows active over S in degree d; times x^2 they
+    # are the original module's rows active in degree d + 2q
+    resc = []
     for d in range(cutoff + width + 1):
         valid = _present(col_weights, S1, d)
         over_s1 = _present(rows.degrees, S1, d)
         n1, lifted = over_s1 & blown, over_s1 & ~blown
-        r_orig = rows.rank(_present(rows.degrees, S, d - 2 * q) & ~blown,
-                           valid)
-        r_resc = rows.rank(_present(rows.degrees, S, d) & ~blown, valid)
+        resc.append(_present(rows.degrees, S, d) & ~blown)
+        r_orig = rows.rank(resc[d - 2 * q] if d >= 2 * q else 0, valid)
+        r_resc = rows.rank(resc[d], valid)
         r_lift = rows.rank(lifted, valid)
         r_n1 = rows.rank(n1, valid)
         r_joint = rows.rank(over_s1, valid)

@@ -70,23 +70,32 @@ class BinomialRelation:
 class Presentation:
     gen_tuple: GeneratorTuple
     relations: tuple[BinomialRelation, ...]
-    mu: int
-    betti_degrees: tuple[int, ...]
+
+    @property
+    def mu(self) -> int:
+        """Number of relations."""
+        return len(self.relations)
+
+    @property
+    def betti_degrees(self) -> tuple[int, ...]:
+        """Degree of each relation, in relation order."""
+        return tuple(rel.degree for rel in self.relations)
 
 
-@lru_cache(maxsize=None)
-def factorizations(weights: tuple[int, ...], degree: int) -> tuple[tuple[int, ...], ...]:
-    """All exponent vectors of the given weighted degree, lexicographically."""
-    if degree < 0:
-        return ()
-    if not weights:
-        return ((),) if degree == 0 else ()
-    out = []
-    w0 = weights[0]
-    for e in range(degree // w0 + 1):
-        for rest in factorizations(weights[1:], degree - e * w0):
-            out.append((e,) + rest)
-    return tuple(out)
+def factorization_table(weights: tuple[int, ...], top: int
+                        ) -> list[tuple[tuple[int, ...], ...]]:
+    """Exponent vectors of each weighted degree 0..top, lexicographically.
+
+    Built bottom-up over the suffixes of the weights: a vector of
+    weights[k:] in degree d is e followed by a vector of weights[k+1:] in
+    degree d - e * weights[k], for e = 0, 1, ... in turn.
+    """
+    table = [((),)] + [()] * top
+    for w in reversed(weights):
+        table = [tuple([(e,) + rest for e in range(d // w + 1)
+                        for rest in table[d - e * w]])
+                 for d in range(top + 1)]
+    return table
 
 
 class _UnionFind:
@@ -129,7 +138,6 @@ def betti_degree_bound(gen_tuple: GeneratorTuple) -> int:
     return amb.conductor + 2 * max(gen_tuple.weights)
 
 
-@lru_cache(maxsize=None)
 def minimal_presentation(gen_tuple: GeneratorTuple,
                          reverse_tiebreak: bool = False) -> Presentation:
     """Minimal binomial generating set of the toric ideal of the tuple.
@@ -140,11 +148,11 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
     each component; reverse_tiebreak flips which extreme is used, which
     must not change any downstream length.
     """
-    weights = gen_tuple.weights
+    top = betti_degree_bound(gen_tuple)
+    table = factorization_table(gen_tuple.weights, top)
     relations: list[BinomialRelation] = []
-    betti: list[int] = []
-    for d in range(1, betti_degree_bound(gen_tuple) + 1):
-        facs = factorizations(weights, d)
+    for d in range(1, top + 1):
+        facs = table[d]
         if len(facs) < 2:
             continue
         comps = [sorted(c) for c in _support_components(facs)]
@@ -161,8 +169,7 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
         for p in picks:
             lhs, rhs = (anchor, p) if anchor < p else (p, anchor)
             relations.append(BinomialRelation(lhs, rhs, d))
-            betti.append(d)
-    return Presentation(gen_tuple, tuple(relations), len(relations), tuple(betti))
+    return Presentation(gen_tuple, tuple(relations))
 
 
 def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
@@ -172,9 +179,10 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     on factorizations whose edges are relation translates must be
     connected.
     """
-    weights = pres.gen_tuple.weights
-    for d in range(1, betti_degree_bound(pres.gen_tuple) + extra_degrees + 1):
-        facs = factorizations(weights, d)
+    top = betti_degree_bound(pres.gen_tuple) + extra_degrees
+    table = factorization_table(pres.gen_tuple.weights, top)
+    for d in range(1, top + 1):
+        facs = table[d]
         if len(facs) < 2:
             continue
         index = {f: i for i, f in enumerate(facs)}
@@ -182,7 +190,7 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
         for rel in pres.relations:
             if rel.degree > d:
                 continue
-            for c in factorizations(weights, d - rel.degree):
+            for c in table[d - rel.degree]:
                 a = tuple(x + y for x, y in zip(c, rel.lhs))
                 b = tuple(x + y for x, y in zip(c, rel.rhs))
                 uf.union(index[a], index[b])

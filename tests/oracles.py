@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def fraction_rank(rows) -> int:
@@ -118,6 +118,14 @@ def bareiss_rank(rows) -> int:
         if rank == len(m):
             break
     return rank
+
+
+def naive_factorizations(weights, degree: int) -> list[tuple[int, ...]]:
+    """Exponent vectors of the given weighted degree, sorted: every vector
+    with each exponent at most degree // weight, filtered by degree."""
+    ranges = [range(degree // w + 1) for w in weights]
+    return sorted(e for e in product(*ranges)
+                  if sum(x * w for x, w in zip(e, weights)) == degree)
 
 
 def naive_members(generators, bound: int) -> set[int]:

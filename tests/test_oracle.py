@@ -197,7 +197,7 @@ def test_invalid_slot_guard_fires_on_a_planted_row():
     # the one relation of <2,3>, y^2 - x^3, declared in degree 4 instead
     # of 6: in degree 4 its row is active, but y has no multiple there
     planted = BinomialRelation((0, 2), (3, 0), 4)
-    pres = Presentation(GeneratorTuple((2, 3)), (planted,), 1, (4,))
+    pres = Presentation(GeneratorTuple((2, 3)), (planted,))
     with pytest.raises(OracleError,
                        match="coefficient 2 in invalid slot 0"):
         relative_differential_dims(pres)

@@ -7,9 +7,11 @@ import pytest
 from curvetorsion import (BinomialRelation, GeneratorTuple, Presentation,
                           PresentationError, betti_degree_bound, blowup,
                           blowup_presentation, classify_transform, deviation,
-                          factorizations, from_generators,
-                          minimal_presentation, presentation_of,
-                          relations_generate, rescaled_relation_generators)
+                          enumerate_by_genus, factorization_table,
+                          from_generators, minimal_presentation,
+                          presentation_of, relations_generate,
+                          rescaled_relation_generators)
+from oracles import naive_factorizations
 
 # (generators) -> (mu, betti degrees)
 PRESENTATIONS = {
@@ -68,19 +70,35 @@ def test_dropping_a_minimal_relation_breaks_generation():
     pres = presentation_of(from_generators((3, 4, 5)))
     for skip in range(pres.mu):
         kept = tuple(r for i, r in enumerate(pres.relations) if i != skip)
-        broken = Presentation(pres.gen_tuple, kept, len(kept),
-                              tuple(r.degree for r in kept))
+        broken = Presentation(pres.gen_tuple, kept)
         assert not relations_generate(broken)
 
 
 def test_factorizations():
-    assert factorizations((3, 4, 5), 9) == ((0, 1, 1), (3, 0, 0))
-    assert factorizations((3, 4, 5), 1) == ()
-    assert factorizations((3, 4, 5), 0) == ((0, 0, 0),)
-    assert factorizations((2, 3), -1) == ()
-    facs = factorizations((2, 3), 12)
+    table = factorization_table((3, 4, 5), 9)
+    assert len(table) == 10
+    assert table[9] == ((0, 1, 1), (3, 0, 0))
+    assert table[1] == ()
+    assert table[0] == ((0, 0, 0),)
+    facs = factorization_table((2, 3), 12)[12]
     assert facs == tuple(sorted(facs))
     assert all(2 * a + 3 * b == 12 for a, b in facs)
+
+
+FACTORIZATION_GENUS = 6
+
+
+def test_factorization_table_matches_brute_force():
+    tuples = {(4, 2, 3)}
+    for S in enumerate_by_genus(FACTORIZATION_GENUS):
+        tuples.add(S.min_generators)
+        tuples.add(blowup(S).generator_tuple)
+    for weights in sorted(tuples):
+        top = betti_degree_bound(GeneratorTuple(weights))
+        table = factorization_table(weights, top)
+        assert len(table) == top + 1
+        for d, facs in enumerate(table):
+            assert list(facs) == naive_factorizations(weights, d), (weights, d)
 
 
 def test_generator_tuple_validation():
@@ -214,8 +232,7 @@ def test_rescaling_rejects_foreign_presentations():
 def test_rescaling_rejects_low_degree_sides():
     S = from_generators((2, 3))
     bogus = Presentation(
-        GeneratorTuple((2, 3)),
-        (BinomialRelation((0, 1), (0, 2), 3),), 1, (3,))
+        GeneratorTuple((2, 3)), (BinomialRelation((0, 1), (0, 2), 3),))
     with pytest.raises(PresentationError, match="total degree"):
         rescaled_relation_generators(S, bogus)
 
@@ -223,8 +240,7 @@ def test_rescaling_rejects_low_degree_sides():
 def test_rescaling_checks_degree_bookkeeping():
     S = from_generators((2, 3))
     bogus = Presentation(
-        GeneratorTuple((2, 3)),
-        (BinomialRelation((0, 2), (3, 0), 8),), 1, (8,))
+        GeneratorTuple((2, 3)), (BinomialRelation((0, 2), (3, 0), 8),))
     with pytest.raises(PresentationError, match="bookkeeping"):
         rescaled_relation_generators(S, bogus)
 
