@@ -9,9 +9,11 @@ Dimensions are slot counts minus exact integer ranks.
 A row's coefficients do not depend on the degree it is placed in, and
 every coefficient in a slot that is invalid in that degree is zero (the
 slot guard checks it), so the rank in a degree is a function of which
-rows are active there, a row bitmask.  Each oracle call ranks its masks
-through one _MaskedRanks, whose memo lives for that call only; the two
-torsion routes build their own and never share a rank.
+rows are active there, a row bitmask.  Each oracle call builds the slot
+masks and row masks of all its degrees before its degree loop, one pass
+over the ring's members per list (_present), and ranks its masks through
+one _MaskedRanks, whose memo lives for that call only; the two torsion
+routes build their own masks and helpers and never share a rank.
 
 Each quantity carries a provable degree cutoff.  The code always computes
 one stability window past the cutoff and raises OracleError if anything
@@ -72,10 +74,20 @@ class RelationModuleLengths:
     rescaled_over_original: int
 
 
-def _present(items, ring: NumericalSemigroup, d: int) -> int:
-    """Bitmask of the items, slot weights or row degrees, whose shift by
-    degree d lands in the ring: the valid slots, or the active rows."""
-    return sum(1 << i for i, w in enumerate(items) if ring.contains(d - w))
+def _present(items, ring: NumericalSemigroup, top: int) -> list[int]:
+    """Per degree 0..top, the bitmask of the items, slot weights or row
+    degrees, whose shift by that degree lands in the ring: the valid
+    slots, or the active rows.  Item i of weight w is in degree v + w for
+    every member v of the ring; the items are nonnegative."""
+    masks = [0] * (top + 1)
+    members = ring.members(top)
+    for i, w in enumerate(items):
+        bit = 1 << i
+        for v in members:
+            if v + w > top:
+                break
+            masks[v + w] |= bit
+    return masks
 
 
 class _MaskedRanks:
@@ -142,12 +154,14 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     width = max(tup.weights)
     cutoff = width + ambient.conductor + min(fitting_minor_degrees(pres))
     rows = _MaskedRanks.of(pres.relations, tup.has_x)
+    top = cutoff + width
+    slots = _present(tup.var_weights, ambient, top)
+    active = _present(rows.degrees, ambient, top)
     per_degree = []
     total = 0
-    for d in range(cutoff + width + 1):
-        valid = _present(tup.var_weights, ambient, d)
-        dim = valid.bit_count() \
-            - rows.rank(_present(rows.degrees, ambient, d), valid)
+    for d in range(top + 1):
+        valid = slots[d]
+        dim = valid.bit_count() - rows.rank(active[d], valid)
         if dim == 0:
             continue
         if d > cutoff:
@@ -240,12 +254,15 @@ def torsion_length(S: NumericalSemigroup,
     weights = pres.gen_tuple.weights
     cutoff, width = ledger.cutoff, max(weights)
     rows = _MaskedRanks.of(pres.relations, False)
+    top = cutoff + width
+    slots = _present(weights, S, top)
+    active = _present(rows.degrees, S, top)
     contributions = []
     route_b = 0
-    for d in range(cutoff + width + 1):
-        valid = _present(weights, S, d)
+    for d in range(top + 1):
+        valid = slots[d]
         kernel_dim = valid.bit_count() - 1 if valid else 0
-        contrib = kernel_dim - rows.rank(_present(rows.degrees, S, d), valid)
+        contrib = kernel_dim - rows.rank(active[d], valid)
         if contrib == 0:
             continue
         if contrib < 0:
@@ -294,17 +311,20 @@ def relation_module_lengths(S: NumericalSemigroup,
     # rest the rescaled relations'; the original module is the rescaled
     # one times x^2, and lifting reads the rescaled rows over S1
     rows = _MaskedRanks.of(bpres.relations + rescaled, True)
-    blown = (1 << len(bpres.relations)) - 1
+    n_blown = len(bpres.relations)
+    blown = (1 << n_blown) - 1
 
-    totals = [0, 0, 0, 0]
+    top = cutoff + width
+    slots = _present(col_weights, S1, top)
+    active = _present(rows.degrees, S1, top)
     # resc[d]: the rescaled rows active over S in degree d; times x^2 they
     # are the original module's rows active in degree d + 2q
-    resc = []
-    for d in range(cutoff + width + 1):
-        valid = _present(col_weights, S1, d)
-        over_s1 = _present(rows.degrees, S1, d)
+    resc = [m << n_blown for m in _present(rows.degrees[n_blown:], S, top)]
+    totals = [0, 0, 0, 0]
+    for d in range(top + 1):
+        valid = slots[d]
+        over_s1 = active[d]
         n1, lifted = over_s1 & blown, over_s1 & ~blown
-        resc.append(_present(rows.degrees, S, d) & ~blown)
         r_orig = rows.rank(resc[d - 2 * q] if d >= 2 * q else 0, valid)
         r_resc = rows.rank(resc[d], valid)
         r_lift = rows.rank(lifted, valid)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 from typing import Sequence
 
 from .semigroup import NumericalSemigroup, blowup, from_generators
@@ -178,22 +179,33 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     For every degree up to the Betti bound (plus extra_degrees), the graph
     on factorizations whose edges are relation translates must be
     connected.
+
+    Each exponent vector is coded as one integer in base top + 1.  No
+    exponent of a vector of degree at most top exceeds top, so codes add
+    without carries and a translate of a relation side is one addition.
     """
     top = betti_degree_bound(pres.gen_tuple) + extra_degrees
-    table = factorization_table(pres.gen_tuple.weights, top)
+    weights = pres.gen_tuple.weights
+    places = [(top + 1) ** k for k in range(len(weights))]
+
+    def code(vec: tuple[int, ...]) -> int:
+        return sum(map(mul, vec, places))
+
+    codes = [[code(f) for f in facs]
+             for facs in factorization_table(weights, top)]
+    rels = [(rel.degree, code(rel.lhs), code(rel.rhs))
+            for rel in pres.relations]
     for d in range(1, top + 1):
-        facs = table[d]
+        facs = codes[d]
         if len(facs) < 2:
             continue
         index = {f: i for i, f in enumerate(facs)}
         uf = _UnionFind(len(facs))
-        for rel in pres.relations:
-            if rel.degree > d:
+        for degree, lhs, rhs in rels:
+            if degree > d:
                 continue
-            for c in table[d - rel.degree]:
-                a = tuple(x + y for x, y in zip(c, rel.lhs))
-                b = tuple(x + y for x, y in zip(c, rel.rhs))
-                uf.union(index[a], index[b])
+            for c in codes[d - degree]:
+                uf.union(index[c + lhs], index[c + rhs])
         roots = {uf.find(i) for i in range(len(facs))}
         if len(roots) > 1:
             return False

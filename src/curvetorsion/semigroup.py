@@ -51,8 +51,11 @@ class NumericalSemigroup:
     __contains__ = contains
 
     def members(self, bound: int) -> list[int]:
-        """All members up to and including bound."""
-        return [a for a in range(bound + 1) if self.contains(a)]
+        """All members up to and including bound, in increasing order."""
+        below = min(bound + 1, self.conductor)
+        bitmap = self._bitmap
+        return [a for a in range(below) if bitmap[a]] \
+            + list(range(self.conductor, bound + 1))
 
     @property
     def is_symmetric(self) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import io
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 
 
@@ -120,9 +121,12 @@ def bareiss_rank(rows) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
 def naive_factorizations(weights, degree: int) -> list[tuple[int, ...]]:
     """Exponent vectors of the given weighted degree, sorted: every vector
-    with each exponent at most degree // weight, filtered by degree."""
+    with each exponent at most degree // weight, filtered by degree.
+    Memoized, because the brute force dominates the reference checks;
+    callers must not mutate the list."""
     ranges = [range(degree // w + 1) for w in weights]
     return sorted(e for e in product(*ranges)
                   if sum(x * w for x, w in zip(e, weights)) == degree)
@@ -140,6 +144,45 @@ def naive_members(generators, bound: int) -> set[int]:
                 reached.add(w)
                 frontier.append(w)
     return reached
+
+
+def naive_present(items, generators, d: int) -> int:
+    """Bitmask of the items whose shift by degree d is in the closure of
+    the generators: item i is present when d - items[i] is a member."""
+    members = naive_members(generators, d)
+    return sum(1 << i for i, w in enumerate(items) if d - w in members)
+
+
+def reference_relations_generate(pres, extra_degrees: int = 0) -> bool:
+    """The relation-translate connectivity check, on exponent tuples.
+
+    In every degree up to conductor + 2 * max(weight) + extra_degrees,
+    join each cofactor plus a relation's lhs to the cofactor plus its
+    rhs; the relations generate when every degree's graph is connected.
+    """
+    weights = pres.gen_tuple.weights
+    top = naive_conductor(weights) + 2 * max(weights) + extra_degrees
+    for d in range(1, top + 1):
+        facs = naive_factorizations(weights, d)
+        if len(facs) < 2:
+            continue
+        parent = {f: f for f in facs}
+
+        def root(f):
+            while parent[f] != f:
+                parent[f] = f = parent[parent[f]]
+            return f
+
+        for rel in pres.relations:
+            if rel.degree > d:
+                continue
+            for c in naive_factorizations(weights, d - rel.degree):
+                a = tuple(x + y for x, y in zip(c, rel.lhs))
+                b = tuple(x + y for x, y in zip(c, rel.rhs))
+                parent[root(a)] = root(b)
+        if len({root(f) for f in facs}) > 1:
+            return False
+    return True
 
 
 def count_gap_sets(genus: int) -> int:

@@ -8,12 +8,14 @@ import pytest
 
 from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
                           Presentation, blowup, blowup_presentation,
-                          colength_via_derivative_spans, exactness_defect,
-                          from_generators, genus_via_derivative_spans,
+                          colength_via_derivative_spans, enumerate_by_genus,
+                          exactness_defect, from_generators,
+                          genus_via_derivative_spans,
                           presentation_of, relation_module_lengths,
                           relative_differential_dims, torsion_length)
 from curvetorsion import oracle
-from curvetorsion.oracle import _MaskedRanks
+from curvetorsion.oracle import _MaskedRanks, _present
+from oracles import naive_present
 
 # (generators) -> (total, per-degree nonzero dimensions)
 DIFFERENTIAL_DIMS = {
@@ -238,3 +240,31 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
         with pytest.raises(OracleError, match="rescaling length check"):
             lengths(S)
     assert lengths(S) == relation_module_lengths(S)
+
+
+def test_degree_masks_match_the_naive_membership_test(monkeypatch):
+    # record every (items, ring, top) the three oracles ask for, through
+    # genus 6 and under both tie-breaks, running them past their caches
+    asked = set()
+
+    def recording(items, ring, top):
+        asked.add((tuple(items), ring, top))
+        return _present(items, ring, top)
+
+    monkeypatch.setattr(oracle, "_present", recording)
+    for S in enumerate_by_genus(6):
+        for tiebreak in (False, True):
+            for pres in (presentation_of(S, tiebreak),
+                         blowup_presentation(S, tiebreak)):
+                relative_differential_dims.__wrapped__(pres)
+            torsion_length.__wrapped__(S, tiebreak)
+            relation_module_lengths.__wrapped__(S, tiebreak)
+    assert len({(items, ring) for items, ring, _ in asked}) == 309
+    for items, ring, top in sorted(asked, key=repr):
+        # the oracle's top, top 0, and a top below the smallest item
+        for t in sorted({top, 0, min(items, default=0) - 1}):
+            masks = _present(items, ring, t)
+            assert len(masks) == t + 1
+            for d, mask in enumerate(masks):
+                assert mask == naive_present(items, ring.min_generators, d), \
+                    (items, ring, d)

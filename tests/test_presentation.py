@@ -11,7 +11,7 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, Presentation,
                           from_generators, minimal_presentation,
                           presentation_of, relations_generate,
                           rescaled_relation_generators)
-from oracles import naive_factorizations
+from oracles import naive_factorizations, reference_relations_generate
 
 # (generators) -> (mu, betti degrees)
 PRESENTATIONS = {
@@ -99,6 +99,30 @@ def test_factorization_table_matches_brute_force():
         assert len(table) == top + 1
         for d, facs in enumerate(table):
             assert list(facs) == naive_factorizations(weights, d), (weights, d)
+
+
+def test_generation_check_matches_the_tuple_reference():
+    # the integer-coded check against the plain tuple-sum loop, on every
+    # minimal and blowup presentation, whole and with one relation dropped
+    presentations = set()
+    for S in enumerate_by_genus(FACTORIZATION_GENUS):
+        for tiebreak in (False, True):
+            presentations.add(presentation_of(S, tiebreak))
+            presentations.add(blowup_presentation(S, tiebreak))
+    verdicts = set()
+    for pres in sorted(presentations, key=repr):
+        variants = [pres] + [
+            Presentation(pres.gen_tuple, pres.relations[:k]
+                         + pres.relations[k + 1:])
+            for k in range(pres.mu)]
+        for variant in variants:
+            for extra in (0, 3):
+                got = relations_generate(variant, extra)
+                assert got == reference_relations_generate(variant, extra), \
+                    (variant, extra)
+                verdicts.add((variant is pres, got))
+    # whole presentations generate, and none does without one relation
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_generator_tuple_validation():

@@ -55,6 +55,24 @@ def test_members_bound_is_inclusive():
     assert S.members(-1) == []
 
 
+@pytest.mark.parametrize("gens", [(4, 6, 7), (3, 5, 7), (2, 3),
+                                  (5, 7, 9, 11, 13)])
+def test_members_around_the_conductor(gens):
+    S = from_generators(gens)
+    c = S.conductor
+    for bound in (c - 1, c, c + 3):
+        assert S.members(bound) == sorted(naive_members(gens, bound)), bound
+    assert S.members(-1) == []
+
+
+def test_members_of_the_whole_ring():
+    N = from_generators((1,))
+    assert N.conductor == 0
+    assert N.members(-1) == []
+    assert N.members(0) == [0]
+    assert N.members(3) == [0, 1, 2, 3]
+
+
 def test_contains_rejects_negatives():
     S = from_generators((2, 3))
     assert not S.contains(-1)
