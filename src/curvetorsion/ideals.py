@@ -5,7 +5,9 @@ set of exponent values: a subset of the integers, bounded below, closed
 under adding semigroup members, and containing every integer from some
 tail onward.  All the dualizing objects of this package (complementary
 module, inverses, the two differents) are of this shape, so identities
-between them reduce to finite set comparisons.
+between them reduce to finite comparisons, made here on integer
+bitmasks: bit v - lo stands for the value v, for a lower end lo chosen
+per comparison.
 """
 
 from __future__ import annotations
@@ -47,6 +49,13 @@ class ValueSet:
         out.extend(range(self.tail_start, bound))
         return out
 
+    def mask(self, lo: int, bound: int) -> int:
+        """The values in [lo, bound) as a bitmask, bit v - lo for value v;
+        lo <= bound, and -(1 << k) sets every bit from k on."""
+        out = sum(1 << (m - lo) for m in self.members if m >= lo)
+        out |= -(1 << (max(self.tail_start, lo) - lo))
+        return out & ((1 << (bound - lo)) - 1)
+
     def __str__(self) -> str:
         shown = ", ".join(str(m) for m in self.members)
         sep = ", " if shown else ""
@@ -64,12 +73,15 @@ def make_value_set(ambient: NumericalSemigroup, values, tail_start: int) -> Valu
         tail_start -= 1
         below.pop()
     vs = ValueSet(ambient, tuple(below), tail_start)
-    top = tail_start + ambient.conductor
-    present = set(vs.values_up_to(top))
-    for v in vs.members:
-        for gen in ambient.min_generators:
-            if v + gen < top and v + gen not in present:
-                raise IdealError(f"value set not stable: {v} + {gen} missing")
+    # sums past the tail are in it; report the least member, then generator
+    lo, gens = vs.min_value, ambient.min_generators
+    own = vs.mask(lo, tail_start)
+    present = vs.mask(lo, tail_start + gens[-1])
+    fails = [(lo + (bad & -bad).bit_length() - 1, gen) for gen in gens
+             if (bad := own & ~(present >> gen))]
+    if fails:
+        v, gen = min(fails)
+        raise IdealError(f"value set not stable: {v} + {gen} missing")
     return vs
 
 
@@ -87,32 +99,40 @@ def complementary_module(S: NumericalSemigroup) -> ValueSet:
     v + m >= 0 for every member m in the class of -v; the sharpest m is
     w((-v) mod q), giving the closed form v >= -w((-v) mod q).  Both the
     closed form and the defining condition are evaluated on a window
-    around zero and compared, so neither route is trusted alone.
+    around zero and compared, so neither route is trusted alone.  The
+    condition is read as: no member below u = -v is congruent to u, and
+    one upward walk over u with the residues seen so far decides it.
     """
     q = S.multiplicity
     apery = apery_set(S, q)
     members = [v for v in range(-max(apery), 0) if v >= -apery[(-v) % q]]
     vs = make_value_set(S, members, 0)
     window = q + S.conductor
-    check_members = S.members(window + q)
-    for v in range(-window, window):
-        direct = all(v + m >= 0 for m in check_members if (v + m) % q == 0)
-        if direct != vs.contains(v):
-            raise IdealError(f"complementary module self-check failed at {v}")
+    seen = direct = 0  # residues of the members below u; bit v + window
+    for u in range(1 - window, window + 1):
+        if not seen >> (u % q) & 1:
+            direct |= 1 << (window - u)
+        if S.contains(u):
+            seen |= 1 << (u % q)
+    wrong = direct ^ vs.mask(-window, window)
+    if wrong:
+        v = (wrong & -wrong).bit_length() - 1 - window
+        raise IdealError(f"complementary module self-check failed at {v}")
     return vs
 
 
 def inverse(V: ValueSet) -> ValueSet:
-    """Value set of {m : m + V inside the ring}."""
+    """Value set of {m : m + V inside the ring}.  A candidate m from
+    -min_value on qualifies when the finite part of V, shifted by m,
+    misses every gap of the ring."""
     S = V.ambient
     cond = S.conductor
     tail = cond - V.min_value
     lo = max(-V.min_value, cond - V.tail_start)
-    finite_part = V.values_up_to(V.tail_start)
-    members = []
-    for m in range(lo, tail):
-        if all(S.contains(m + v) for v in finite_part if m + v < cond):
-            members.append(m)
+    finite_part = V.mask(V.min_value, V.tail_start)
+    gaps = ((1 << cond) - 1) & ~S.members_mask(cond)
+    members = [m for m in range(lo, tail)
+               if not (finite_part << (m + V.min_value) & gaps)]
     return make_value_set(S, members, tail)
 
 
@@ -214,10 +234,10 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     degs = fitting_minor_degrees(pres)
     base = min(degs)
     tail = base + S.conductor
-    values = set()
+    found = 0  # bit v - base for each value v of a minor times a member
     for v in degs:
-        for m in S.members(tail - v):
-            values.add(v + m)
+        found |= S.members_mask(tail - v) << (v - base)
+    values = [base + i for i in range(tail - base) if found >> i & 1]
     return make_value_set(S, values, tail)
 
 
@@ -235,12 +255,12 @@ def quotient_length(outer: ValueSet, inner: ValueSet) -> int:
         raise IdealError("value sets live over different curves")
     if inner.tail_start < outer.tail_start:
         raise IdealError("inner set not contained in outer: tail")
-    bound = max(outer.tail_start, inner.tail_start)
-    outer_vals = set(outer.values_up_to(bound))
-    inner_vals = set(inner.values_up_to(bound))
-    if not inner_vals <= outer_vals:
+    lo, bound = min(outer.min_value, inner.min_value), inner.tail_start
+    outer_vals = outer.mask(lo, bound)
+    inner_vals = inner.mask(lo, bound)
+    if inner_vals & ~outer_vals:
         raise IdealError("inner set not contained in outer")
-    return len(outer_vals - inner_vals)
+    return (outer_vals & ~inner_vals).bit_count()
 
 
 def different_inverse_gap(S: NumericalSemigroup, pres: Presentation) -> int:

@@ -174,27 +174,25 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
                                  (cutoff, cutoff + width))
 
 
-def _span_values(S: NumericalSemigroup, bound: int) -> set[int]:
-    """Values of ring multiples of derivatives of ring elements, below bound.
+def _span_values(S: NumericalSemigroup, bound: int) -> int:
+    """Values of ring multiples of derivatives of ring elements, below
+    bound, as a bitmask (bit v for value v).
 
     A monomial of value a times the derivative of one of value m has
-    value a + m - 1; m = 0 differentiates to zero and is excluded.
+    value a + m - 1; m = 0 differentiates to zero and is excluded.  So the
+    span is the ring shifted by m - 1 for every nonzero member m.
     """
-    members = S.members(bound + 1)
-    out = set()
-    for m in members:
-        if m == 0:
-            continue
-        for a in members:
-            v = a + m - 1
-            if v < bound:
-                out.add(v)
-    return out
+    ring = S.members_mask(bound)
+    span = 0
+    for m in S.members(bound)[1:]:
+        span |= ring << (m - 1)
+    return span & ((1 << bound) - 1)
 
 
-def _derivative_values(S: NumericalSemigroup, bound: int) -> set[int]:
-    """Values of derivatives of ring elements alone, below bound."""
-    return {m - 1 for m in S.members(bound + 1) if m >= 1 and m - 1 < bound}
+def _derivative_values(S: NumericalSemigroup, bound: int) -> int:
+    """Values of derivatives of ring elements alone, below bound, as a
+    bitmask: the nonzero members up to bound, each lowered by one."""
+    return S.members_mask(bound) >> 1
 
 
 def exactness_defect(S: NumericalSemigroup) -> int:
@@ -206,9 +204,9 @@ def exactness_defect(S: NumericalSemigroup) -> int:
     bound = 2 * S.conductor + 2
     span = _span_values(S, bound)
     plain = _derivative_values(S, bound)
-    if not plain <= span:
+    if plain & ~span:
         raise OracleError("derivative values escaped their ring closure")
-    return len(span - plain)
+    return (span & ~plain).bit_count()
 
 
 def genus_via_derivative_spans(S: NumericalSemigroup) -> int:
@@ -218,8 +216,7 @@ def genus_via_derivative_spans(S: NumericalSemigroup) -> int:
     recovers the number of gaps by an independent route.
     """
     bound = S.conductor + 1
-    full = set(range(bound))
-    return len(full - _span_values(S, bound))
+    return bound - _span_values(S, bound).bit_count()
 
 
 def colength_via_derivative_spans(S: NumericalSemigroup,
@@ -228,9 +225,9 @@ def colength_via_derivative_spans(S: NumericalSemigroup,
     bound = S.conductor + 1
     big = _span_values(T, bound)
     small = _span_values(S, bound)
-    if not small <= big:
+    if small & ~big:
         raise OracleError("derivative spans are not nested")
-    return len(big - small)
+    return (big & ~small).bit_count()
 
 
 @lru_cache(maxsize=None)

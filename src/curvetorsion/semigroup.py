@@ -15,6 +15,9 @@ from math import gcd
 from typing import Iterable, Iterator
 
 
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bitmap bytes as binary digits
+
+
 class SemigroupError(ValueError):
     """Raised for inputs that do not define a numerical semigroup."""
 
@@ -56,6 +59,13 @@ class NumericalSemigroup:
         bitmap = self._bitmap
         return [a for a in range(below) if bitmap[a]] \
             + list(range(self.conductor, bound + 1))
+
+    def members_mask(self, bound: int) -> int:
+        """The members up to and including bound as one int: bit v is set
+        exactly when v is a member.  -(1 << conductor) sets every bit from
+        the conductor on."""
+        bits = int(self._bitmap[::-1].translate(_DIGITS), 2)
+        return (bits | -(1 << self.conductor)) & ((1 << max(bound + 1, 0)) - 1)
 
     @property
     def is_symmetric(self) -> bool:

@@ -12,6 +12,7 @@ import io
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
+from math import gcd
 
 
 def fraction_rank(rows) -> int:
@@ -250,6 +251,91 @@ def naive_conductor(generators) -> int:
             if run == step:
                 return v - step + 1
         bound *= 2
+
+
+def reference_span_values(generators, bound: int) -> set[int]:
+    """Values a + m - 1 below bound, over members a and nonzero members m
+    of the closure: ring multiples of derivatives, one set at a time."""
+    members = sorted(naive_members(generators, bound + 1))
+    out = set()
+    for m in members:
+        if m == 0:
+            continue
+        for a in members:
+            v = a + m - 1
+            if v < bound:
+                out.add(v)
+    return out
+
+
+def reference_derivative_values(generators, bound: int) -> set[int]:
+    """Values m - 1 below bound of the nonzero members m of the closure."""
+    return {m - 1 for m in naive_members(generators, bound + 1)
+            if m >= 1 and m - 1 < bound}
+
+
+def _normalized(values, tail_start: int) -> tuple[tuple[int, ...], int]:
+    """(members below the tail, tail start), the tail grown back over any
+    run of members that ends right before it."""
+    below = sorted({v for v in values if v < tail_start})
+    while below and below[-1] == tail_start - 1:
+        tail_start -= 1
+        below.pop()
+    return tuple(below), tail_start
+
+
+def reference_complementary_module(generators) -> tuple[tuple[int, ...], int]:
+    """The trace dual as (members, tail start), by the closed form
+    v >= -w((-v) mod q) over the Apery set w, checked on the window
+    [-window, window) against the defining condition: v + m >= 0 for
+    every member m with q dividing v + m."""
+    q = min(generators)
+    conductor = naive_conductor(generators)
+    window = q + conductor
+    closure = naive_members(generators, window + q)
+    apery = [min(m for m in closure if m % q == r) for r in range(q)]
+    members = [v for v in range(-max(apery), 0) if v >= -apery[(-v) % q]]
+    values = _normalized(members, 0)
+    check_members = sorted(closure)
+    for v in range(-window, window):
+        direct = all(v + m >= 0 for m in check_members if (v + m) % q == 0)
+        if direct != (v >= values[1] or v in values[0]):
+            raise ValueError(f"complementary module self-check failed at {v}")
+    return values
+
+
+def reference_inverse(generators, value_set) -> tuple[tuple[int, ...], int]:
+    """(members, tail start) of {m : m + V inside the ring}, for V given as
+    (members, tail start): every candidate m tested against every finite
+    member of V by closure membership."""
+    members, tail_start = value_set
+    conductor = naive_conductor(generators)
+    closure = naive_members(generators, conductor)
+    min_value = members[0] if members else tail_start
+    tail = conductor - min_value
+    lo = max(-min_value, conductor - tail_start)
+    out = [m for m in range(lo, tail)
+           if all(m + v in closure for v in members if m + v < conductor)]
+    return _normalized(out, tail)
+
+
+def large_conductor_generators() -> list[tuple[int, ...]]:
+    """Generators of 259 curves of genus 15 to 59, whose conductors reach
+    116: every <a,b> with 3 <= a <= 12 and a < b, ordered by a then b, then
+    every <q,b,c> with 6 <= q <= 12 and q < b < c < 2q, ordered by q, b, c;
+    each with gcd 1 and genus in 15..59.  Genus (a-1)(b-1)/2 <= 59 keeps
+    b below 120."""
+    out = [(a, b) for a in range(3, 13) for b in range(a + 1, 120)
+           if gcd(a, b) == 1 and 15 <= (a - 1) * (b - 1) // 2 <= 59]
+    for q in range(6, 13):
+        for b, c in combinations(range(q + 1, 2 * q), 2):
+            if gcd(gcd(q, b), c) == 1:
+                conductor = naive_conductor((q, b, c))
+                genus = conductor - len(naive_members((q, b, c),
+                                                      conductor - 1))
+                if 15 <= genus <= 59:
+                    out.append((q, b, c))
+    return out
 
 
 def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:

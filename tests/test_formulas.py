@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from curvetorsion import (CHECK_NAMES, FormulaNotApplicable, blowup,
                           normalization_differential_colength,
                           presentation_of, relative_differential_dims,
                           stable_ci_drop, torsion_length)
+from oracles import large_conductor_generators
 
 
 def test_normalization_differential_colength():
@@ -186,3 +188,15 @@ def test_every_check_name_fires_somewhere():
             if value is not None:
                 seen[name] = True
     assert all(seen.values()), [n for n, s in seen.items() if not s]
+
+
+@pytest.mark.parametrize("reverse_tiebreak", [False, True])
+def test_large_conductor_records_are_pinned(reverse_tiebreak):
+    # conductors up to 116, far past the genus <= 12 sweeps, where a wrong
+    # shift or cut in the value-set layer would change a record
+    digest = hashlib.sha256()
+    for gens in large_conductor_generators():
+        record = full_report(from_generators(gens), reverse_tiebreak).to_dict()
+        digest.update((json.dumps(record, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == \
+        "b06aea4307ee219831bd6eaac528a1783371585674575320e9a1b8c7b7a2c648"

@@ -11,6 +11,7 @@ from curvetorsion import (IdealError, ValueSet, blowup_presentation,
                           from_generators, inverse, kaehler_different,
                           make_value_set, presentation_of, quotient_length,
                           value_set_of)
+from curvetorsion import ideals
 from oracles import (brute_force_minor_degrees,
                      reference_fitting_minor_degrees)
 
@@ -239,3 +240,22 @@ def test_fitting_different_inside_the_trace_different_through_genus_9():
         gap = quotient_length(dedekind_different(S),
                               kaehler_different(S, presentation_of(S)))
         assert (gap > 0) == (deviation(S) >= 2), S
+
+
+def test_complementary_module_self_check_fires_on_a_planted_apery_entry(
+        monkeypatch):
+    # <4,6,7> has Apery set (0, 13, 6, 7) mod 4.  Lowering the entry of
+    # residue 1 by q drops -13 from the closed form, which stays stable,
+    # while the trace condition still admits -13: only the self-check sees
+    # it.  (Raising an entry by q instead trips the stability check first.)
+    real = ideals.apery_set
+
+    def planted(S, modulus):
+        out = real(S, modulus)
+        out[1] -= modulus
+        return out
+
+    monkeypatch.setattr(ideals, "apery_set", planted)
+    with pytest.raises(IdealError,
+                       match=r"^complementary module self-check failed at -13$"):
+        complementary_module(from_generators((4, 6, 7)))

@@ -268,3 +268,15 @@ def test_degree_masks_match_the_naive_membership_test(monkeypatch):
             for d, mask in enumerate(masks):
                 assert mask == naive_present(items, ring.min_generators, d), \
                     (items, ring, d)
+
+
+def test_derivative_escape_guard_fires_on_a_planted_value(monkeypatch):
+    # in <4,6,7>, 4 + 1 = 5 is no sum of a member and a nonzero member,
+    # so a derivative value 4 lies outside the span
+    S = from_generators((4, 6, 7))
+    real = oracle._derivative_values
+    monkeypatch.setattr(oracle, "_derivative_values",
+                        lambda S, bound: real(S, bound) | 1 << 4)
+    with pytest.raises(OracleError,
+                       match="^derivative values escaped their ring closure$"):
+        exactness_defect(S)
