@@ -90,6 +90,7 @@ def value_set_of(S: NumericalSemigroup) -> ValueSet:
     return make_value_set(S, S.members(S.conductor), S.conductor)
 
 
+@lru_cache(maxsize=None)
 def complementary_module(S: NumericalSemigroup) -> ValueSet:
     """Trace dual of the ring over the subring generated by its parameter.
 
@@ -219,6 +220,7 @@ def fitting_minor_degrees(pres: Presentation) -> tuple[int, ...]:
     return tuple(t - col_sum for t in range(limit) if found >> t & 1)
 
 
+@lru_cache(maxsize=None)
 def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     """Value set of the ideal of maximal minors of the derivative matrix.
 
@@ -263,11 +265,18 @@ def quotient_length(outer: ValueSet, inner: ValueSet) -> int:
     return (outer_vals & ~inner_vals).bit_count()
 
 
+@lru_cache(maxsize=None)
 def different_inverse_gap(S: NumericalSemigroup, pres: Presentation) -> int:
     """Length of the inverse of the different over the complementary module.
 
     Zero exactly when inverting the different recovers the trace dual; the
     deficit enters the drop formula for curves with one extra relation.
+
+    A report asks for it in its own checks, in the nice-ACI drop formula
+    and at every nice-ACI step of the transform chain, and asks for the
+    Kaehler different and the trace dual besides; this function,
+    kaehler_different and complementary_module are memoized, so each is
+    computed once per curve and presentation.
     """
     dk = kaehler_different(S, pres)
     return quotient_length(inverse(dk), complementary_module(S))

@@ -1,11 +1,23 @@
 """Toric presentations of a monomial curve and of its quadratic transform.
 
-Relations between the monomial generators are binomials; a minimal set of
-them is read off degree by degree from the graph on factorizations whose
-edges join factorizations with overlapping support.  Each degree with c
-connected components contributes c - 1 relations, and no degree beyond
-conductor + 2 * max(weight) contributes at all, because there the graph
-is always connected.
+Relations between the monomial generators are binomials.  A minimal set
+of them is read off degree by degree.  The factorizations of a degree d
+fall into R-classes, the classes of the graph whose edges join two
+factorizations with overlapping support; a degree with c classes
+contributes c - 1 relations.  No degree beyond conductor + 2 * max(weight)
+contributes at all, because there that graph is always connected.
+
+The R-classes are found without listing a single factorization: they are
+the connected components of the graph G_d on the generator positions i
+with d - w_i in S, where i and j are joined when d - w_i - w_j is in S
+(Rosales, "On presentations of subsemigroups of N^n", Semigroup Forum 55,
+1997; Rosales and Garcia-Sanchez, Numerical Semigroups, Springer 2009,
+ch. 7).  Each relation joins two lexicographically extreme
+factorizations, and those are built greedily, one coordinate at a time,
+against the sums the component's later weights can still reach.
+
+Only the generation check, relations_generate, lists factorizations: it
+is the independent second route that confirms a presentation generates.
 """
 
 from __future__ import annotations
@@ -13,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
 
 from .semigroup import NumericalSemigroup, blowup, from_generators
 
@@ -116,27 +127,73 @@ class _UnionFind:
             self.parent[rj] = ri
 
 
-def _support_components(facs: Sequence[tuple[int, ...]]) -> list[list[tuple[int, ...]]]:
-    """Connected components of the shared-support graph on factorizations."""
-    uf = _UnionFind(len(facs))
-    for var in range(len(facs[0])):
-        first = None
-        for idx, f in enumerate(facs):
-            if f[var]:
-                if first is None:
-                    first = idx
-                else:
-                    uf.union(first, idx)
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for idx, f in enumerate(facs):
-        groups.setdefault(uf.find(idx), []).append(f)
-    return list(groups.values())
-
-
 def betti_degree_bound(gen_tuple: GeneratorTuple) -> int:
     """Degree past which the shared-support graph is always connected."""
     amb = from_generators(gen_tuple.weights)
     return amb.conductor + 2 * max(gen_tuple.weights)
+
+
+def _positions(weights: tuple[int, ...], mask: int, x: int) -> int:
+    """Bitmask of the positions i with x - w_i in S; mask holds the
+    members of S up to x."""
+    return sum(1 << i for i, w in enumerate(weights)
+               if w <= x and mask >> (x - w) & 1)
+
+
+def _components(weights: tuple[int, ...], mask: int, d: int) -> list[int]:
+    """Connected components of G_d, each a bitmask of generator positions.
+
+    The vertices are _positions(d); the neighbours of vertex i are the
+    vertices among _positions(d - w_i).
+    """
+    rest = _positions(weights, mask, d)
+    comps = []
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            new = _positions(weights, mask, d - weights[i]) & rest & ~comp
+            comp |= new
+            frontier |= new
+        rest &= ~comp
+        comps.append(comp)
+    return comps
+
+
+def _extreme_factorization(weights: tuple[int, ...], comp: int, d: int,
+                           largest: bool) -> tuple[int, ...]:
+    """Lexicographically least (or largest) exponent vector of degree d
+    with support inside the positions of comp.
+
+    after[p] is the bitmask of the sums of the weights of comp past
+    position p, closed under repetition by shift doubling.  The vector is
+    fixed coordinate by coordinate: each takes the least (or largest)
+    exponent that leaves a remainder in after[p]; the last position
+    takes what remains.
+    """
+    full = (1 << (d + 1)) - 1
+    pos = [i for i in range(len(weights)) if comp >> i & 1]
+    after = {}
+    reach = 1
+    for p in reversed(pos):
+        after[p] = reach
+        step = weights[p]
+        while step <= d:
+            reach |= (reach << step) & full
+            step <<= 1
+    vec = [0] * len(weights)
+    rem = d
+    for p in pos[:-1]:
+        w, tail = weights[p], after[p]
+        e = rem // w if largest else 0
+        while not tail >> (rem - e * w) & 1:
+            e += -1 if largest else 1
+        vec[p] = e
+        rem -= e * w
+    vec[pos[-1]] = rem // weights[pos[-1]]
+    return tuple(vec)
 
 
 def minimal_presentation(gen_tuple: GeneratorTuple,
@@ -144,32 +201,47 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
     """Minimal binomial generating set of the toric ideal of the tuple.
 
     Works for non-minimal tuples as well (the blowup tuple usually is
-    one).  Spanning relations per disconnected degree are chosen
-    deterministically from the lexicographically extreme factorization of
-    each component; reverse_tiebreak flips which extreme is used, which
-    must not change any downstream length.
+    one).  The R-classes of degree d are the components of G_d, the graph
+    on the positions i with d - w_i in S joining i and j when d - w_i - w_j
+    is in S (Rosales 1997; Rosales and Garcia-Sanchez 2009, ch. 7, as in
+    the module notes); degree d needs one relation less than it has.
+
+    Components are built only on the candidate degrees, found on the
+    membership bitmask: uses_i = mask << w_i has bit d set when d - w_i is
+    in S, and G_d is connected when some used position is a hub, joined to
+    every other used one.  The candidates, used and without a hub, lie
+    inside the degrees where two used positions are not joined.
+
+    Each relation joins the lexicographically least factorization of a
+    component to the least one of all (the anchor), both built greedily by
+    _extreme_factorization; reverse_tiebreak takes the largest ones
+    instead, which must not change any downstream length.
     """
+    weights = gen_tuple.weights
     top = betti_degree_bound(gen_tuple)
-    table = factorization_table(gen_tuple.weights, top)
+    mask = from_generators(weights).members_mask(top)
+    uses = [mask << w for w in weights]
+    used = hubs = 0
+    for i, w in enumerate(weights):
+        hub = uses[i]
+        for j, v in enumerate(weights):
+            if j != i:
+                hub &= ~uses[j] | mask << (w + v)
+        used |= uses[i]
+        hubs |= hub
+    split = used & ~hubs & ((1 << (top + 1)) - 1)
     relations: list[BinomialRelation] = []
-    for d in range(1, top + 1):
-        facs = table[d]
-        if len(facs) < 2:
-            continue
-        comps = [sorted(c) for c in _support_components(facs)]
+    while split:
+        d = (split & -split).bit_length() - 1
+        split &= split - 1
+        comps = _components(weights, mask, d)
         if len(comps) < 2:
             continue
-        if reverse_tiebreak:
-            comps.sort(key=lambda c: c[-1], reverse=True)
-            anchor = comps[0][-1]
-            picks = [c[-1] for c in comps[1:]]
-        else:
-            comps.sort(key=lambda c: c[0])
-            anchor = comps[0][0]
-            picks = [c[0] for c in comps[1:]]
-        for p in picks:
-            lhs, rhs = (anchor, p) if anchor < p else (p, anchor)
-            relations.append(BinomialRelation(lhs, rhs, d))
+        ends = sorted((_extreme_factorization(weights, c, d, reverse_tiebreak)
+                       for c in comps), reverse=reverse_tiebreak)
+        anchor = ends[0]
+        for p in ends[1:]:
+            relations.append(BinomialRelation(min(anchor, p), max(anchor, p), d))
     return Presentation(gen_tuple, tuple(relations))
 
 

@@ -186,6 +186,72 @@ def reference_relations_generate(pres, extra_degrees: int = 0) -> bool:
     return True
 
 
+def _factorization_table(weights, top: int):
+    """Exponent vectors of each weighted degree 0..top, lexicographically,
+    built bottom-up over the suffixes of the weights."""
+    table = [((),)] + [()] * top
+    for w in reversed(weights):
+        table = [tuple([(e,) + rest for e in range(d // w + 1)
+                        for rest in table[d - e * w]])
+                 for d in range(top + 1)]
+    return table
+
+
+def _support_components(facs):
+    """Connected components of the shared-support graph on factorizations,
+    by union-find over the factorizations that use each variable."""
+    parent = list(range(len(facs)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for var in range(len(facs[0])):
+        users = [idx for idx, f in enumerate(facs) if f[var]]
+        for idx in users[1:]:
+            parent[root(idx)] = root(users[0])
+    groups: dict[int, list] = {}
+    for idx, f in enumerate(facs):
+        groups.setdefault(root(idx), []).append(f)
+    return list(groups.values())
+
+
+def reference_minimal_presentation(weights, reverse_tiebreak: bool = False
+                                   ) -> tuple[tuple[tuple[int, ...],
+                                                    tuple[int, ...], int], ...]:
+    """The package's original minimal presentation, as (lhs, rhs, degree).
+
+    Lists every factorization of every degree up to conductor + 2 *
+    max(weight), splits each degree into shared-support components, and
+    joins the lexicographically least factorization of each component to
+    the least of all (the largest ones under reverse_tiebreak).  Kept as
+    the reference for the membership-test construction that replaced it.
+    """
+    top = naive_conductor(weights) + 2 * max(weights)
+    table = _factorization_table(tuple(weights), top)
+    relations = []
+    for d in range(1, top + 1):
+        facs = table[d]
+        if len(facs) < 2:
+            continue
+        comps = [sorted(c) for c in _support_components(facs)]
+        if len(comps) < 2:
+            continue
+        if reverse_tiebreak:
+            comps.sort(key=lambda c: c[-1], reverse=True)
+            anchor = comps[0][-1]
+            picks = [c[-1] for c in comps[1:]]
+        else:
+            comps.sort(key=lambda c: c[0])
+            anchor = comps[0][0]
+            picks = [c[0] for c in comps[1:]]
+        for p in picks:
+            lhs, rhs = (anchor, p) if anchor < p else (p, anchor)
+            relations.append((lhs, rhs, d))
+    return tuple(relations)
+
+
 def count_gap_sets(genus: int) -> int:
     """Number of numerical semigroups of the given genus, by brute force.
 

@@ -11,7 +11,9 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, Presentation,
                           from_generators, minimal_presentation,
                           presentation_of, relations_generate,
                           rescaled_relation_generators)
-from oracles import naive_factorizations, reference_relations_generate
+from oracles import (large_conductor_generators, naive_factorizations,
+                     reference_minimal_presentation,
+                     reference_relations_generate)
 
 # (generators) -> (mu, betti degrees)
 PRESENTATIONS = {
@@ -123,6 +125,26 @@ def test_generation_check_matches_the_tuple_reference():
                 verdicts.add((variant is pres, got))
     # whole presentations generate, and none does without one relation
     assert verdicts == {(True, True), (False, False)}
+
+
+REFERENCE_GENUS = 9
+
+
+def test_minimal_presentation_matches_the_factorization_reference():
+    # the membership-test construction against the original one that
+    # lists every factorization, relation for relation, both tie-breaks
+    curves = list(enumerate_by_genus(REFERENCE_GENUS)) + [
+        from_generators(g) for g in large_conductor_generators()]
+    tuples = set()
+    for S in curves:
+        tuples.add(S.min_generators)
+        tuples.add(blowup(S).generator_tuple)
+    for weights in sorted(tuples):
+        for tiebreak in (False, True):
+            pres = minimal_presentation(GeneratorTuple(weights), tiebreak)
+            got = tuple((r.lhs, r.rhs, r.degree) for r in pres.relations)
+            assert got == reference_minimal_presentation(weights, tiebreak), \
+                (weights, tiebreak)
 
 
 def test_generator_tuple_validation():

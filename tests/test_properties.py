@@ -13,14 +13,16 @@ from math import gcd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvetorsion import (apery_set, blowup, complementary_module,
-                          dedekind_different, enumerate_by_genus,
-                          from_generators, full_report, inverse,
-                          make_value_set, presentation_of, value_set_of)
+from curvetorsion import (GeneratorTuple, Presentation, apery_set, blowup,
+                          complementary_module, dedekind_different,
+                          enumerate_by_genus, from_generators, full_report,
+                          inverse, make_value_set, minimal_presentation,
+                          presentation_of, relations_generate, value_set_of)
 from curvetorsion.linalg import Echelon, integer_rank
 from curvetorsion.oracle import _MaskedRanks
 from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
-                     fraction_rank, naive_members)
+                     fraction_rank, naive_members,
+                     reference_minimal_presentation)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -164,6 +166,27 @@ def test_value_set_roundtrips(gens):
         for v in range(V.min_value - 2, bound):
             assert V.contains(v) == (v in listed)
     assert inverse(value_set_of(S)) == value_set_of(S)
+
+
+# unsorted, with repeats and weight 1 allowed: blowup tuples are like this
+weight_tuples = st.lists(st.integers(min_value=1, max_value=9),
+                         min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=100)
+@given(weight_tuples, st.booleans())
+def test_minimal_presentation_of_any_weight_tuple(weights, has_x):
+    if not _coprime(weights):
+        weights = weights + [max(weights) + 1]
+    tup = GeneratorTuple(tuple(weights), has_x)
+    for tiebreak in (False, True):
+        pres = minimal_presentation(tup, tiebreak)
+        assert tuple((r.lhs, r.rhs, r.degree) for r in pres.relations) == \
+            reference_minimal_presentation(tup.weights, tiebreak)
+        assert relations_generate(pres)
+        for k in range(pres.mu):
+            dropped = pres.relations[:k] + pres.relations[k + 1:]
+            assert not relations_generate(Presentation(tup, dropped))
 
 
 CORPUS_GENUS = 6
