@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from curvetorsion import from_generators, full_report
+from curvetorsion import (different_inverse_gap, from_generators, full_report,
+                          kaehler_different)
 from oracles import run_cli
 
 GOLDEN = json.loads(
@@ -81,6 +82,10 @@ def test_golden_transcripts(entry):
 
 def test_human_rendering_reads_only_the_record(monkeypatch):
     report = full_report(from_generators((3, 4, 5)))
+    # full_report filled the memos in front of the minor search; empty them
+    # so that a recomputation at render time reaches the tripwire below
+    kaehler_different.cache_clear()
+    different_inverse_gap.cache_clear()
 
     def no_minor_search(pres):
         raise AssertionError("minor search at render time")
