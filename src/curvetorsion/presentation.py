@@ -16,8 +16,11 @@ ch. 7).  Each relation joins two lexicographically extreme
 factorizations, and those are built greedily, one coordinate at a time,
 against the sums the component's later weights can still reach.
 
-Only the generation check, relations_generate, lists factorizations: it
-is the independent second route that confirms a presentation generates.
+The generation check, relations_generate, is the independent second
+route that confirms a presentation generates.  It lists no factorization
+either: a knapsack over the weights gives, per degree, the set of support
+masks of its factorizations, and the R-classes are merged from those
+masks, without reading S or G_d.
 """
 
 from __future__ import annotations
@@ -92,39 +95,6 @@ class Presentation:
     def betti_degrees(self) -> tuple[int, ...]:
         """Degree of each relation, in relation order."""
         return tuple(rel.degree for rel in self.relations)
-
-
-def factorization_table(weights: tuple[int, ...], top: int
-                        ) -> list[tuple[tuple[int, ...], ...]]:
-    """Exponent vectors of each weighted degree 0..top, lexicographically.
-
-    Built bottom-up over the suffixes of the weights: a vector of
-    weights[k:] in degree d is e followed by a vector of weights[k+1:] in
-    degree d - e * weights[k], for e = 0, 1, ... in turn.
-    """
-    table = [((),)] + [()] * top
-    for w in reversed(weights):
-        table = [tuple([(e,) + rest for e in range(d // w + 1)
-                        for rest in table[d - e * w]])
-                 for d in range(top + 1)]
-    return table
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        p = self.parent
-        while p[i] != i:
-            p[i] = p[p[i]]
-            i = p[i]
-        return i
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[rj] = ri
 
 
 def betti_degree_bound(gen_tuple: GeneratorTuple) -> int:
@@ -245,41 +215,92 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
     return Presentation(gen_tuple, tuple(relations))
 
 
+@lru_cache(maxsize=None)
+def _lacking(k: int, p: int) -> int:
+    """Bitset over the support masks 0..2^k - 1 of those without bit p."""
+    bits, width = (1 << (1 << p)) - 1, 2 << p
+    while width < 1 << k:
+        bits |= bits << width
+        width <<= 1
+    return bits
+
+
+def _support_sets(weights: tuple[int, ...], top: int) -> list[int]:
+    """sup[d] for d = 0..top: bit m is set when some factorization of
+    degree d has support mask m (bit p of m for a nonzero exponent at p).
+
+    A knapsack over the positions: adding e_p to a factorization of
+    degree d - w_p moves its mask m to m | 1 << p.
+    """
+    sup = [1] + [0] * top
+    for p, w in enumerate(weights):
+        lacks, step = _lacking(len(weights), p), 1 << p
+        for d in range(w, top + 1):
+            x = sup[d - w]
+            if x:
+                sup[d] |= (x & lacks) << step | (x & ~lacks)
+    return sup
+
+
+def _support(vec: tuple[int, ...]) -> int:
+    """Support mask of an exponent vector: bit p for a nonzero exponent."""
+    return sum(1 << p for p, e in enumerate(vec) if e)
+
+
+def _merge(comps: list[int], joined: int) -> None:
+    """Merge every component meeting the position mask joined, in place."""
+    kept = []
+    for c in comps:
+        if c & joined:
+            joined |= c
+        else:
+            kept.append(c)
+    kept.append(joined)
+    comps[:] = kept
+
+
 def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     """Congruence connectivity check: do the relations generate the ideal?
 
     For every degree up to the Betti bound (plus extra_degrees), the graph
     on factorizations whose edges are relation translates must be
-    connected.
+    connected.  It is checked degree by degree, ascending, on R-classes
+    (Herzog, Manuscripta Math. 3, 1970; Rosales and Garcia-Sanchez 2009,
+    ch. 7).  While every lower degree is connected, the factorizations of
+    degree d that use generator i are e_i plus those of d - w_i, so they
+    are connected; and a translate with a nonzero cofactor c stays among
+    the factorizations that use a generator of c.  So degree d is
+    connected exactly when its relations of degree d join its R-classes:
+    the components of the positions merged along each support mask in
+    sup[d] (_support_sets).  No factorization is listed, and neither the
+    members of S nor G_d is read, so this stays a route independent of
+    minimal_presentation.
 
-    Each exponent vector is coded as one integer in base top + 1.  No
-    exponent of a vector of degree at most top exceeds top, so codes add
-    without carries and a translate of a relation side is one addition.
+    A relation whose sides are not of its labelled degree raises
+    PresentationError.
     """
-    top = betti_degree_bound(pres.gen_tuple) + extra_degrees
     weights = pres.gen_tuple.weights
-    places = [(top + 1) ** k for k in range(len(weights))]
-
-    def code(vec: tuple[int, ...]) -> int:
-        return sum(map(mul, vec, places))
-
-    codes = [[code(f) for f in facs]
-             for facs in factorization_table(weights, top)]
-    rels = [(rel.degree, code(rel.lhs), code(rel.rhs))
-            for rel in pres.relations]
-    for d in range(1, top + 1):
-        facs = codes[d]
-        if len(facs) < 2:
+    joins: dict[int, list[int]] = {}
+    for rel in pres.relations:
+        if any(sum(map(mul, side, weights)) != rel.degree
+               for side in (rel.lhs, rel.rhs)):
+            raise PresentationError(
+                f"relation {rel.lhs} - {rel.rhs} is not of degree "
+                f"{rel.degree} over the weights {weights}")
+        joins.setdefault(rel.degree, []).append(
+            _support(rel.lhs) | _support(rel.rhs))
+    top = betti_degree_bound(pres.gen_tuple) + extra_degrees
+    for d, x in enumerate(_support_sets(weights, top)):
+        if not x & (x - 1):
             continue
-        index = {f: i for i, f in enumerate(facs)}
-        uf = _UnionFind(len(facs))
-        for degree, lhs, rhs in rels:
-            if degree > d:
-                continue
-            for c in codes[d - degree]:
-                uf.union(index[c + lhs], index[c + rhs])
-        roots = {uf.find(i) for i in range(len(facs))}
-        if len(roots) > 1:
+        comps: list[int] = []
+        while x:
+            low = x & -x
+            x ^= low
+            _merge(comps, low.bit_length() - 1)
+        for joined in joins.get(d, ()):
+            _merge(comps, joined)
+        if len(comps) > 1:
             return False
     return True
 

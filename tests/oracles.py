@@ -186,6 +186,15 @@ def reference_relations_generate(pres, extra_degrees: int = 0) -> bool:
     return True
 
 
+def support_sets(weights, top: int) -> list[int]:
+    """For each degree 0..top, the bitset of the support masks of its
+    brute-force factorizations: bit m for a factorization whose nonzero
+    exponents sit exactly at the set bits of m."""
+    return [sum({1 << sum(1 << p for p, e in enumerate(f) if e)
+                 for f in naive_factorizations(tuple(weights), d)})
+            for d in range(top + 1)]
+
+
 def _factorization_table(weights, top: int):
     """Exponent vectors of each weighted degree 0..top, lexicographically,
     built bottom-up over the suffixes of the weights."""

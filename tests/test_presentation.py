@@ -7,13 +7,13 @@ import pytest
 from curvetorsion import (BinomialRelation, GeneratorTuple, Presentation,
                           PresentationError, betti_degree_bound, blowup,
                           blowup_presentation, classify_transform, deviation,
-                          enumerate_by_genus, factorization_table,
-                          from_generators, minimal_presentation,
-                          presentation_of, relations_generate,
-                          rescaled_relation_generators)
-from oracles import (large_conductor_generators, naive_factorizations,
-                     reference_minimal_presentation,
-                     reference_relations_generate)
+                          enumerate_by_genus, from_generators,
+                          minimal_presentation, presentation_of,
+                          relations_generate, rescaled_relation_generators)
+from curvetorsion.presentation import _support_sets
+from oracles import (_factorization_table, large_conductor_generators,
+                     naive_factorizations, reference_minimal_presentation,
+                     reference_relations_generate, support_sets)
 
 # (generators) -> (mu, betti degrees)
 PRESENTATIONS = {
@@ -76,13 +76,27 @@ def test_dropping_a_minimal_relation_breaks_generation():
         assert not relations_generate(broken)
 
 
+def test_mislabelled_relation_degree_is_rejected():
+    pres = presentation_of(from_generators((3, 4, 5)))
+    last = pres.relations[-1]
+    for shift in (-1, 1):
+        relabelled = BinomialRelation(last.lhs, last.rhs, last.degree + shift)
+        bad = Presentation(pres.gen_tuple, pres.relations[:-1] + (relabelled,))
+        with pytest.raises(PresentationError,
+                           match=rf"\(0, 0, 2\) - \(2, 1, 0\) .* degree "
+                                 rf"{last.degree + shift}\b"):
+            relations_generate(bad)
+
+
 def test_factorizations():
-    table = factorization_table((3, 4, 5), 9)
+    # the reference table of tests/oracles.py, which the original minimal
+    # presentation still lists
+    table = _factorization_table((3, 4, 5), 9)
     assert len(table) == 10
     assert table[9] == ((0, 1, 1), (3, 0, 0))
     assert table[1] == ()
     assert table[0] == ((0, 0, 0),)
-    facs = factorization_table((2, 3), 12)[12]
+    facs = _factorization_table((2, 3), 12)[12]
     assert facs == tuple(sorted(facs))
     assert all(2 * a + 3 * b == 12 for a, b in facs)
 
@@ -90,24 +104,41 @@ def test_factorizations():
 FACTORIZATION_GENUS = 6
 
 
-def test_factorization_table_matches_brute_force():
+def _small_tuples():
+    """Every minimal and blowup tuple through FACTORIZATION_GENUS, and an
+    unsorted one."""
     tuples = {(4, 2, 3)}
     for S in enumerate_by_genus(FACTORIZATION_GENUS):
         tuples.add(S.min_generators)
         tuples.add(blowup(S).generator_tuple)
-    for weights in sorted(tuples):
+    return sorted(tuples)
+
+
+def test_factorization_table_matches_brute_force():
+    for weights in _small_tuples():
         top = betti_degree_bound(GeneratorTuple(weights))
-        table = factorization_table(weights, top)
+        table = _factorization_table(weights, top)
         assert len(table) == top + 1
         for d, facs in enumerate(table):
             assert list(facs) == naive_factorizations(weights, d), (weights, d)
 
 
+def test_support_sets_match_brute_force():
+    # the knapsack behind the generation check against the supports of
+    # brute-force factorizations, three degrees past the Betti bound
+    for weights in _small_tuples():
+        top = betti_degree_bound(GeneratorTuple(weights)) + 3
+        assert _support_sets(weights, top) == support_sets(weights, top), \
+            weights
+
+
 def test_generation_check_matches_the_tuple_reference():
-    # the integer-coded check against the plain tuple-sum loop, on every
-    # minimal and blowup presentation, whole and with one relation dropped
+    # the R-class check against the plain tuple-sum loop, on every minimal
+    # and blowup presentation, whole and with one relation dropped
+    curves = list(enumerate_by_genus(FACTORIZATION_GENUS)) + [
+        from_generators(g) for g in large_conductor_generators()]
     presentations = set()
-    for S in enumerate_by_genus(FACTORIZATION_GENUS):
+    for S in curves:
         for tiebreak in (False, True):
             presentations.add(presentation_of(S, tiebreak))
             presentations.add(blowup_presentation(S, tiebreak))
