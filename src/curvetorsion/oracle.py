@@ -10,10 +10,13 @@ A row's coefficients do not depend on the degree it is placed in, and
 every coefficient in a slot that is invalid in that degree is zero (the
 slot guard checks it), so the rank in a degree is a function of which
 rows are active there, a row bitmask.  Each oracle call builds the slot
-masks and row masks of all its degrees before its degree loop, one pass
-over the ring's members per list (_present), and ranks its masks through
-one _MaskedRanks, whose memo lives for that call only; the two torsion
-routes build their own masks and helpers and never share a rank.
+masks and row masks of all its degrees up front, one pass over the ring's
+members below the conductor per list (_present), and pairs them into one
+key per degree.  Many degrees share a key, and from the last mask change
+on every degree does.  Each distinct key is ranked and guarded once,
+through one _MaskedRanks whose memo lives for that call only, and the
+degrees only read the result (_tabulate); the two torsion routes build
+their own masks and helpers and never share a rank.
 
 Each quantity carries a provable degree cutoff.  The code always computes
 one stability window past the cutoff and raises OracleError if anything
@@ -78,26 +81,67 @@ def _present(items, ring: NumericalSemigroup, top: int) -> list[int]:
     """Per degree 0..top, the bitmask of the items, slot weights or row
     degrees, whose shift by that degree lands in the ring: the valid
     slots, or the active rows.  Item i of weight w is in degree v + w for
-    every member v of the ring; the items are nonnegative."""
+    every member v of the ring; the items are nonnegative.  From the
+    conductor c on every value is a member, so item i is in every degree
+    from c + w on, and every item in every degree from c + max w on."""
     masks = [0] * (top + 1)
-    members = ring.members(top)
+    c = ring.conductor
+    tail = c + max(items, default=0)
+    stop = min(tail, top + 1)
+    below = ring.members(c - 1)
     for i, w in enumerate(items):
         bit = 1 << i
-        for v in members:
-            if v + w > top:
+        for v in below:
+            if v + w >= stop:
                 break
             masks[v + w] |= bit
+        for d in range(c + w, stop):
+            masks[d] |= bit
+    if tail <= top:
+        masks[tail:] = [(1 << len(items)) - 1] * (top + 1 - tail)
     return masks
+
+
+def _tabulate(keys, evaluate, audit) -> list:
+    """Per degree, evaluate(key) of that degree's key, evaluated once per
+    distinct key in order of first occurrence; then audit(values), which
+    checks the window past the cutoff and raises on the lowest bad degree.
+
+    A guard in evaluate reports its key's first degree, keys.index(key).
+    Before that fault propagates, the degrees below it are audited, so a
+    fault at a lower degree wins, as in a walk degree by degree.
+    """
+    table = {}
+    try:
+        for key in dict.fromkeys(keys):
+            table[key] = evaluate(key)
+    except OracleError:
+        audit([table[k] for k in keys[:keys.index(key)]])
+        raise
+    values = [table[k] for k in keys]
+    audit(values)
+    return values
+
+
+def _zero_past(cutoff: int, what: str):
+    """The audit for _tabulate that every value past the cutoff is zero."""
+    def audit(values):
+        for d in range(max(cutoff + 1, 0), len(values)):
+            if values[d]:
+                raise OracleError(f"cutoff violation: {what} {values[d]} at "
+                                  f"degree {d} beyond {cutoff}")
+    return audit
 
 
 class _MaskedRanks:
     """Restricted ranks of the subsets of one list of rows, by row bitmask.
 
-    Each rank is memoized with the union of its rows' supports, and every
-    call, a memo hit too, checks that union against the degree's valid
-    slots.  A nonzero coefficient outside a valid slot would mean the
-    module element escapes the ambient free module, which the
-    construction makes impossible; it is still checked.  Past that check
+    The oracles call it once per distinct (row mask, valid slots) pair,
+    not once per degree.  Each rank is memoized with the union of its
+    rows' supports, and every call, a memo hit too, checks that union
+    against the valid slots.  A nonzero coefficient outside a valid slot
+    would mean the module element escapes the ambient free module, which
+    the construction makes impossible; it is still checked.  Past that check
     every invalid column is zero, so the full-width rows have the
     restricted rank.
     """
@@ -157,21 +201,18 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     top = cutoff + width
     slots = _present(tup.var_weights, ambient, top)
     active = _present(rows.degrees, ambient, top)
-    per_degree = []
-    total = 0
-    for d in range(top + 1):
-        valid = slots[d]
-        dim = valid.bit_count() - rows.rank(active[d], valid)
-        if dim == 0:
-            continue
-        if d > cutoff:
-            raise OracleError(
-                f"cutoff violation: differential dimension {dim} at degree "
-                f"{d} beyond {cutoff}")
-        per_degree.append((d, dim))
-        total += dim
-    return GradedDimensionLedger(tuple(per_degree), total, cutoff,
-                                 (cutoff, cutoff + width))
+    keys = list(zip(active, slots))
+
+    def dimension(key):
+        mask, valid = key
+        return valid.bit_count() - rows.rank(mask, valid)
+
+    dims = _tabulate(keys, dimension,
+                     _zero_past(cutoff, "differential dimension"))
+    per_degree = tuple((d, dim) for d, dim in
+                       enumerate(dims[:max(cutoff + 1, 0)]) if dim)
+    return GradedDimensionLedger(per_degree, sum(dim for _, dim in per_degree),
+                                 cutoff, (cutoff, cutoff + width))
 
 
 def _span_values(S: NumericalSemigroup, bound: int) -> int:
@@ -254,28 +295,28 @@ def torsion_length(S: NumericalSemigroup,
     top = cutoff + width
     slots = _present(weights, S, top)
     active = _present(rows.degrees, S, top)
-    contributions = []
-    route_b = 0
-    for d in range(top + 1):
-        valid = slots[d]
+    keys = list(zip(active, slots))
+
+    def contribution(key):
+        mask, valid = key
         kernel_dim = valid.bit_count() - 1 if valid else 0
-        contrib = kernel_dim - rows.rank(active[d], valid)
-        if contrib == 0:
-            continue
+        contrib = kernel_dim - rows.rank(mask, valid)
         if contrib < 0:
             raise OracleError(
-                f"relation rows exceed the evaluation kernel at degree {d}")
-        if d > cutoff:
-            raise OracleError(
-                f"cutoff violation: torsion contribution {contrib} at degree "
-                f"{d} beyond {cutoff}")
-        contributions.append((d, contrib))
-        route_b += contrib
+                f"relation rows exceed the evaluation kernel at degree "
+                f"{keys.index(key)}")
+        return contrib
+
+    contribs = _tabulate(keys, contribution,
+                         _zero_past(cutoff, "torsion contribution"))
+    contributions = tuple((d, c) for d, c in
+                          enumerate(contribs[:max(cutoff + 1, 0)]) if c)
+    route_b = sum(c for _, c in contributions)
     if route_a != route_b:
         raise OracleError(
             f"oracle inconsistency: torsion {route_a} by dimension count "
             f"vs {route_b} by kernel count for {S}")
-    return TorsionResult(route_a, route_a, route_b, tuple(contributions))
+    return TorsionResult(route_a, route_a, route_b, contributions)
 
 
 @lru_cache(maxsize=None)
@@ -284,10 +325,11 @@ def relation_module_lengths(S: NumericalSemigroup,
                             ) -> RelationModuleLengths:
     """Lengths between the nested relation modules after one transform.
 
-    Verifies, degree by degree: the lifted module sits inside the blowup
-    module (rank does not grow when its rows are added), every module is
-    full past the cutoff, and the rescaled-over-original length equals
-    twice the number of variables times the multiplicity.
+    Verifies, in every degree up to one window past the cutoff, that the
+    lifted module sits inside the blowup module (rank does not grow when
+    its rows are added) and that every module is full past the cutoff;
+    then that the rescaled-over-original length equals twice the number
+    of variables times the multiplicity.
     """
     if S.embdim == 1:
         return RelationModuleLengths(0, 0, 0, 0)
@@ -317,30 +359,35 @@ def relation_module_lengths(S: NumericalSemigroup,
     # resc[d]: the rescaled rows active over S in degree d; times x^2 they
     # are the original module's rows active in degree d + 2q
     resc = [m << n_blown for m in _present(rows.degrees[n_blown:], S, top)]
-    totals = [0, 0, 0, 0]
-    for d in range(top + 1):
-        valid = slots[d]
-        over_s1 = active[d]
+    orig = ([0] * (2 * q) + resc)[:len(resc)]
+    keys = list(zip(slots, active, resc, orig))
+
+    def ranks(key):
+        valid, over_s1, resc_mask, orig_mask = key
         n1, lifted = over_s1 & blown, over_s1 & ~blown
-        r_orig = rows.rank(resc[d - 2 * q] if d >= 2 * q else 0, valid)
-        r_resc = rows.rank(resc[d], valid)
+        r_orig = rows.rank(orig_mask, valid)
+        r_resc = rows.rank(resc_mask, valid)
         r_lift = rows.rank(lifted, valid)
         r_n1 = rows.rank(n1, valid)
         r_joint = rows.rank(over_s1, valid)
         if r_joint != r_n1:
             raise OracleError(
                 f"containment violation: lifted rescaled module escapes the "
-                f"blowup relation module at degree {d} for {S}")
-        if d > cutoff:
-            if r_orig != valid.bit_count():
+                f"blowup relation module at degree {keys.index(key)} for {S}")
+        return (r_n1 - r_resc, r_n1 - r_lift, r_lift - r_resc,
+                r_resc - r_orig, r_orig == valid.bit_count())
+
+    def audit(values):
+        for d in range(max(cutoff + 1, 0), len(values)):
+            if not values[d][4]:
                 raise OracleError(
                     f"cutoff violation: relation modules not full at degree "
                     f"{d} beyond {cutoff} for {S}")
-            continue
-        totals[0] += r_n1 - r_resc
-        totals[1] += r_n1 - r_lift
-        totals[2] += r_lift - r_resc
-        totals[3] += r_resc - r_orig
+
+    values = _tabulate(keys, ranks, audit)[:max(cutoff + 1, 0)]
+    # the zero row keeps the four length columns when no degree is summed
+    # and drops the fullness column
+    totals = [sum(column) for column in zip((0, 0, 0, 0), *values)]
     if totals[3] != 2 * n_vars * q:
         raise OracleError(
             f"rescaling length check failed: {totals[3]} != "

@@ -2,7 +2,9 @@
 
 Everything in this module is deliberately naive and shares no code with
 the package, so agreement between the two is evidence of correctness
-rather than a tautology.
+rather than a tautology.  The exceptions are the per-degree walks of the
+graded oracles, which take their inputs from the package and keep only
+the degree loops that the per-key evaluation replaced, and run_cli.
 """
 
 from __future__ import annotations
@@ -147,11 +149,13 @@ def naive_members(generators, bound: int) -> set[int]:
     return reached
 
 
-def naive_present(items, generators, d: int) -> int:
-    """Bitmask of the items whose shift by degree d is in the closure of
-    the generators: item i is present when d - items[i] is a member."""
-    members = naive_members(generators, d)
-    return sum(1 << i for i, w in enumerate(items) if d - w in members)
+def naive_present(items, generators, top: int) -> list[int]:
+    """Per degree 0..top, the bitmask of the items whose shift by that
+    degree is in the closure of the generators: item i is present in
+    degree d when d - items[i] is a member."""
+    members = naive_members(generators, top)
+    return [sum(1 << i for i, w in enumerate(items) if d - w in members)
+            for d in range(top + 1)]
 
 
 def reference_relations_generate(pres, extra_degrees: int = 0) -> bool:
@@ -462,6 +466,181 @@ def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:
     search(0, [], 0, n_vars)
     found.add(least)
     return tuple(sorted(found))
+
+
+def reference_present(items, ring, top: int) -> list[int]:
+    """The package's original degree masks: per degree 0..top, the bitmask
+    of the items whose shift by that degree lands in the ring, walking
+    every member up to top for every item."""
+    masks = [0] * (top + 1)
+    members = ring.members(top)
+    for i, w in enumerate(items):
+        bit = 1 << i
+        for v in members:
+            if v + w > top:
+                break
+            masks[v + w] |= bit
+    return masks
+
+
+# The three graded oracles as they were before they ranked each distinct
+# degree key once: a loop over every degree up to cutoff + width, one rank
+# call per mask and degree.  They take their inputs (presentations,
+# cutoffs, the rank helper) from the package, looked up through the
+# oracle module at call time, so a test that plants a fault there plants
+# it in both; what they check is the per-key evaluation that replaced the
+# loops.
+
+def reference_relative_differential_dims(pres):
+    from curvetorsion import oracle
+
+    tup = pres.gen_tuple
+    if not tup.var_weights:
+        return oracle.GradedDimensionLedger((), 0, 0, (0, 0))
+    ambient = oracle.from_generators(tup.weights)
+    width = max(tup.weights)
+    cutoff = width + ambient.conductor \
+        + min(oracle.fitting_minor_degrees(pres))
+    rows = oracle._MaskedRanks.of(pres.relations, tup.has_x)
+    top = cutoff + width
+    slots = reference_present(tup.var_weights, ambient, top)
+    active = reference_present(rows.degrees, ambient, top)
+    per_degree = []
+    total = 0
+    for d in range(top + 1):
+        valid = slots[d]
+        dim = valid.bit_count() - rows.rank(active[d], valid)
+        if dim == 0:
+            continue
+        if d > cutoff:
+            raise oracle.OracleError(
+                f"cutoff violation: differential dimension {dim} at degree "
+                f"{d} beyond {cutoff}")
+        per_degree.append((d, dim))
+        total += dim
+    return oracle.GradedDimensionLedger(tuple(per_degree), total, cutoff,
+                                        (cutoff, cutoff + width))
+
+
+def reference_torsion_route_b(S, reverse_tiebreak: bool = False):
+    from curvetorsion import oracle
+
+    if S.embdim == 1:
+        return oracle.TorsionResult(0, 0, 0, ())
+    pres = oracle.presentation_of(S, reverse_tiebreak)
+    ledger = oracle.relative_differential_dims(pres)
+    route_a = ledger.total - (S.multiplicity - 1) - oracle.exactness_defect(S)
+
+    weights = pres.gen_tuple.weights
+    cutoff, width = ledger.cutoff, max(weights)
+    rows = oracle._MaskedRanks.of(pres.relations, False)
+    top = cutoff + width
+    slots = reference_present(weights, S, top)
+    active = reference_present(rows.degrees, S, top)
+    contributions = []
+    route_b = 0
+    for d in range(top + 1):
+        valid = slots[d]
+        kernel_dim = valid.bit_count() - 1 if valid else 0
+        contrib = kernel_dim - rows.rank(active[d], valid)
+        if contrib == 0:
+            continue
+        if contrib < 0:
+            raise oracle.OracleError(
+                f"relation rows exceed the evaluation kernel at degree {d}")
+        if d > cutoff:
+            raise oracle.OracleError(
+                f"cutoff violation: torsion contribution {contrib} at degree "
+                f"{d} beyond {cutoff}")
+        contributions.append((d, contrib))
+        route_b += contrib
+    if route_a != route_b:
+        raise oracle.OracleError(
+            f"oracle inconsistency: torsion {route_a} by dimension count "
+            f"vs {route_b} by kernel count for {S}")
+    return oracle.TorsionResult(route_a, route_a, route_b,
+                                tuple(contributions))
+
+
+def reference_relation_module_lengths(S, reverse_tiebreak: bool = False):
+    from curvetorsion import oracle
+
+    if S.embdim == 1:
+        return oracle.RelationModuleLengths(0, 0, 0, 0)
+    q = S.multiplicity
+    n_vars = S.embdim - 1
+    step = oracle.blowup(S)
+    S1 = step.transformed
+    bpres = oracle.blowup_presentation(S, reverse_tiebreak)
+    opres = oracle.presentation_of(S, reverse_tiebreak)
+    rescaled = oracle.rescaled_relation_generators(S, opres)
+    col_weights = oracle.GeneratorTuple(step.generator_tuple).var_weights
+
+    cutoff = 2 * q + min(oracle.fitting_minor_degrees(opres)) + S.conductor \
+        + max(S.min_generators)
+    width = max(q, max(col_weights))
+
+    rows = oracle._MaskedRanks.of(bpres.relations + rescaled, True)
+    n_blown = len(bpres.relations)
+    blown = (1 << n_blown) - 1
+
+    top = cutoff + width
+    slots = reference_present(col_weights, S1, top)
+    active = reference_present(rows.degrees, S1, top)
+    resc = [m << n_blown
+            for m in reference_present(rows.degrees[n_blown:], S, top)]
+    totals = [0, 0, 0, 0]
+    for d in range(top + 1):
+        valid = slots[d]
+        over_s1 = active[d]
+        n1, lifted = over_s1 & blown, over_s1 & ~blown
+        r_orig = rows.rank(resc[d - 2 * q] if d >= 2 * q else 0, valid)
+        r_resc = rows.rank(resc[d], valid)
+        r_lift = rows.rank(lifted, valid)
+        r_n1 = rows.rank(n1, valid)
+        r_joint = rows.rank(over_s1, valid)
+        if r_joint != r_n1:
+            raise oracle.OracleError(
+                f"containment violation: lifted rescaled module escapes the "
+                f"blowup relation module at degree {d} for {S}")
+        if d > cutoff:
+            if r_orig != valid.bit_count():
+                raise oracle.OracleError(
+                    f"cutoff violation: relation modules not full at degree "
+                    f"{d} beyond {cutoff} for {S}")
+            continue
+        totals[0] += r_n1 - r_resc
+        totals[1] += r_n1 - r_lift
+        totals[2] += r_lift - r_resc
+        totals[3] += r_resc - r_orig
+    if totals[3] != 2 * n_vars * q:
+        raise oracle.OracleError(
+            f"rescaling length check failed: {totals[3]} != "
+            f"{2 * n_vars * q} for {S}")
+    return oracle.RelationModuleLengths(*totals)
+
+
+def check_graded_oracles(curves) -> int:
+    """Assert that the three graded oracles equal their per-degree
+    references on every curve, on its minimal and blowup presentations and
+    under both tie-breaks; returns the number of comparisons made."""
+    from curvetorsion import (blowup_presentation, presentation_of,
+                              relation_module_lengths,
+                              relative_differential_dims, torsion_length)
+
+    compared = 0
+    for S in curves:
+        for tiebreak in (False, True):
+            for pres in (presentation_of(S, tiebreak),
+                         blowup_presentation(S, tiebreak)):
+                assert relative_differential_dims(pres) == \
+                    reference_relative_differential_dims(pres), pres
+            assert torsion_length(S, tiebreak) == \
+                reference_torsion_route_b(S, tiebreak), (S, tiebreak)
+            assert relation_module_lengths(S, tiebreak) == \
+                reference_relation_module_lengths(S, tiebreak), (S, tiebreak)
+            compared += 4
+    return compared
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -15,7 +15,11 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
                           relative_differential_dims, torsion_length)
 from curvetorsion import oracle
 from curvetorsion.oracle import _MaskedRanks, _present
-from oracles import naive_present
+from oracles import (check_graded_oracles, large_conductor_generators,
+                     naive_present, reference_present,
+                     reference_relation_module_lengths,
+                     reference_relative_differential_dims,
+                     reference_torsion_route_b)
 
 # (generators) -> (total, per-degree nonzero dimensions)
 DIFFERENTIAL_DIMS = {
@@ -218,6 +222,13 @@ def test_slot_guard_fires_on_a_memo_hit():
     assert rows.rank(0b01, 0b01) == 1
 
 
+def _raised(fn, *args) -> str:
+    """The message of the OracleError that fn(*args) raises."""
+    with pytest.raises(OracleError) as info:
+        fn(*args)
+    return str(info.value)
+
+
 def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
     S = from_generators((4, 6, 7))
     # the cached function would hide the planted faults
@@ -228,46 +239,204 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
         m.setattr(oracle, "blowup_presentation", lambda S, tb=False:
                   dataclasses.replace(real_blowup_presentation(S, tb),
                                       relations=()))
-        with pytest.raises(OracleError, match="containment violation"):
-            lengths(S)
+        message = _raised(lengths, S)
+        assert message == (
+            "containment violation: lifted rescaled module escapes the "
+            "blowup relation module at degree 4 for <4,6,7>")
+        assert message == _raised(reference_relation_module_lengths, S)
+        # in <2,3> the escaping key recurs through degree 7; the guard
+        # reports its first degree
+        T = from_generators((2, 3))
+        message = _raised(lengths, T)
+        assert message == (
+            "containment violation: lifted rescaled module escapes the "
+            "blowup relation module at degree 2 for <2,3>")
+        assert message == _raised(reference_relation_module_lengths, T)
     with monkeypatch.context() as m:
         m.setattr(oracle, "rescaled_relation_generators",
                   lambda S, pres: real_rescaled(S, pres)[:-1])
-        with pytest.raises(OracleError, match="cutoff violation"):
-            lengths(S)
+        message = _raised(lengths, S)
+        assert message == ("cutoff violation: relation modules not full at "
+                           "degree 39 beyond 38 for <4,6,7>")
+        assert message == _raised(reference_relation_module_lengths, S)
     with monkeypatch.context() as m:
+        # a negative cutoff: no degree is summed, every window index is
+        # clamped at 0, and the length check is what fires
         m.setattr(oracle, "fitting_minor_degrees", lambda pres: (-30,))
-        with pytest.raises(OracleError, match="rescaling length check"):
-            lengths(S)
+        message = _raised(lengths, S)
+        assert message == "rescaling length check failed: 0 != 16 for <4,6,7>"
+        assert message == _raised(reference_relation_module_lengths, S)
     assert lengths(S) == relation_module_lengths(S)
 
 
+def test_graded_oracles_match_the_per_degree_references():
+    # one evaluation per distinct degree key against the walk over every
+    # degree it replaced, on every minimal and blowup presentation through
+    # genus 7 and of the large-conductor curves, under both tie-breaks
+    curves = list(enumerate_by_genus(7)) + [
+        from_generators(g) for g in large_conductor_generators()]
+    assert check_graded_oracles(curves) == 4 * 2 * len(curves)
+
+
+def test_differential_cutoff_violation_fires_on_a_planted_cutoff(
+        monkeypatch):
+    S = from_generators((4, 5))
+    pres = presentation_of(S)
+    real = oracle.fitting_minor_degrees
+    monkeypatch.setattr(oracle, "fitting_minor_degrees",
+                        lambda pres: (min(real(pres)) - 8,))
+    message = _raised(relative_differential_dims.__wrapped__, pres)
+    assert message == ("cutoff violation: differential dimension 1 at degree "
+                       "26 beyond 24")
+    assert message == _raised(reference_relative_differential_dims, pres)
+    # degree 26 shares its key with degree 5, below the cutoff: the fault
+    # is reported at the key's first degree past the cutoff
+    assert relative_differential_dims(pres).dimension(5) == 1
+
+
+def _lowered_ledger(monkeypatch, shift: int) -> None:
+    """Lower the ledger's cutoff, which torsion route b reads, by shift.
+    The torsion sits inside the ledger degree by degree, so a cutoff low
+    enough to cut torsion would trip the ledger's own guard first."""
+    real = oracle.relative_differential_dims
+    monkeypatch.setattr(oracle, "relative_differential_dims", lambda pres:
+                        dataclasses.replace(real(pres),
+                                            cutoff=real(pres).cutoff - shift))
+
+
+def test_torsion_cutoff_violation_fires_on_a_planted_cutoff(monkeypatch):
+    S = from_generators((4, 5))
+    _lowered_ledger(monkeypatch, 8)
+    message = _raised(torsion_length.__wrapped__, S)
+    assert message == ("cutoff violation: torsion contribution 1 at degree "
+                       "26 beyond 24")
+    assert message == _raised(reference_torsion_route_b, S)
+
+
+def _planted_relation(monkeypatch, relation: BinomialRelation) -> None:
+    """Append a relation whose row is not in the evaluation kernel to every
+    minimal presentation the oracle module asks for."""
+    real = oracle.presentation_of
+    monkeypatch.setattr(oracle, "presentation_of", lambda S, tb=False:
+                        dataclasses.replace(real(S, tb), relations=real(
+                            S, tb).relations + (relation,)))
+
+
+def test_kernel_guard_fires_on_a_planted_row(monkeypatch):
+    # x*y in degree 5 of <2,3>: its row (1, 1) evaluates to 2 + 3, not 0.
+    # From degree 8 on both rows are active in both slots, one rank beyond
+    # the kernel; every later degree has the same key, and the guard
+    # reports the key's first degree
+    with monkeypatch.context() as m:
+        S = from_generators((2, 3))
+        _planted_relation(m, BinomialRelation((1, 1), (0, 0), 5))
+        message = _raised(torsion_length.__wrapped__, S)
+        assert message == \
+            "relation rows exceed the evaluation kernel at degree 8"
+        assert message == _raised(reference_torsion_route_b, S)
+    # x*y in degree 10 of <4,6,7>: from degree 16 on
+    S = from_generators((4, 6, 7))
+    _planted_relation(monkeypatch, BinomialRelation((1, 1, 0), (0, 0, 0), 10))
+    message = _raised(torsion_length.__wrapped__, S)
+    assert message == "relation rows exceed the evaluation kernel at degree 16"
+    assert message == _raised(reference_torsion_route_b, S)
+    # with the cutoff lowered to 14, degree 15 breaks the cutoff before
+    # degree 16's key trips the kernel guard; the lower degree wins
+    _lowered_ledger(monkeypatch, 14)
+    message = _raised(torsion_length.__wrapped__, S)
+    assert message == ("cutoff violation: torsion contribution 1 at degree "
+                       "15 beyond 14")
+    assert message == _raised(reference_torsion_route_b, S)
+
+
+def test_route_disagreement_fires_on_a_planted_defect(monkeypatch):
+    S = from_generators((4, 6, 7))
+    real = oracle.exactness_defect
+    monkeypatch.setattr(oracle, "exactness_defect", lambda S: real(S) + 1)
+    message = _raised(torsion_length.__wrapped__, S)
+    assert message == ("oracle inconsistency: torsion 9 by dimension count "
+                       "vs 10 by kernel count for <4,6,7>")
+    assert message == _raised(reference_torsion_route_b, S)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OracleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("gens", [(2, 3), (4, 5), (4, 6, 7), (3, 5, 7),
+                                  (4, 5, 6, 7), (6, 9, 20)])
+def test_lowered_cutoffs_match_the_per_degree_references(monkeypatch, gens):
+    # every Fitting degree from the true one down past zero, so the
+    # cutoffs run through the last nonzero degrees and turn negative
+    S = from_generators(gens)
+    real = oracle.fitting_minor_degrees
+    monkeypatch.setattr(oracle, "relative_differential_dims",
+                        relative_differential_dims.__wrapped__)
+    seen = set()
+    for shift in range(0, 61, 2):
+        monkeypatch.setattr(oracle, "fitting_minor_degrees",
+                            lambda pres: (min(real(pres)) - shift,))
+        for pres in (presentation_of(S), blowup_presentation(S)):
+            got = _outcome(relative_differential_dims.__wrapped__, pres)
+            assert got == _outcome(reference_relative_differential_dims,
+                                   pres), (pres, shift)
+            seen.add(type(got))
+        got = _outcome(torsion_length.__wrapped__, S)
+        assert got == _outcome(reference_torsion_route_b, S), shift
+        got = _outcome(relation_module_lengths.__wrapped__, S)
+        assert got == _outcome(reference_relation_module_lengths, S), shift
+    assert str in seen
+
+
 def test_degree_masks_match_the_naive_membership_test(monkeypatch):
-    # record every (items, ring, top) the three oracles ask for, through
-    # genus 6 and under both tie-breaks, running them past their caches
-    asked = set()
+    # record every (items, ring) the three oracles ask for, with the
+    # largest top asked, through genus 6 and on the large-conductor curves,
+    # under both tie-breaks, running them past their caches
+    asked = {}
 
     def recording(items, ring, top):
-        asked.add((tuple(items), ring, top))
+        key = (tuple(items), ring)
+        asked[key] = max(top, asked.get(key, top))
         return _present(items, ring, top)
 
     monkeypatch.setattr(oracle, "_present", recording)
-    for S in enumerate_by_genus(6):
+    small = list(enumerate_by_genus(6))
+    large = [from_generators(g) for g in large_conductor_generators()]
+    for S in small + large:
         for tiebreak in (False, True):
             for pres in (presentation_of(S, tiebreak),
                          blowup_presentation(S, tiebreak)):
                 relative_differential_dims.__wrapped__(pres)
             torsion_length.__wrapped__(S, tiebreak)
             relation_module_lengths.__wrapped__(S, tiebreak)
-    assert len({(items, ring) for items, ring, _ in asked}) == 309
-    for items, ring, top in sorted(asked, key=repr):
-        # the oracle's top, top 0, and a top below the smallest item
-        for t in sorted({top, 0, min(items, default=0) - 1}):
-            masks = _present(items, ring, t)
-            assert len(masks) == t + 1
-            for d, mask in enumerate(masks):
-                assert mask == naive_present(items, ring.min_generators, d), \
-                    (items, ring, d)
+        if S is small[-1]:
+            assert len(asked) == 309
+    # the relation-module rows come unsorted, with repeated degrees
+    assert any(list(items) != sorted(items) and len(set(items)) < len(items)
+               for items, _ in asked)
+    # more such items, and the ring <1>, whose conductor is 0, so every
+    # item is in every degree from its own weight on
+    rings = [from_generators(g) for g in [(1,), (2, 3), (4, 6, 7), (6, 9, 20)]]
+    for items in [(5, 3, 5, 0, 3), (7, 7), (0,), (2, 1), ()]:
+        for ring in rings:
+            asked.setdefault((items, ring), 40)
+    for (items, ring), top in asked.items():
+        # the oracle's top, top 0 and -1, a top below the smallest item,
+        # tops below the conductor, and tops on both sides of c + min w
+        # and c + max w, where the run of full masks starts
+        c = ring.conductor
+        tops = {top, 0, -1, min(items, default=0) - 1, c - 1, c}
+        for w in (min(items, default=0), max(items, default=0)):
+            tops |= {c + w - 1, c + w, c + w + 1}
+        tops = sorted(t for t in tops if t >= -1)
+        expected = naive_present(items, ring.min_generators, tops[-1])
+        for t in tops:
+            assert _present(items, ring, t) == expected[:t + 1], \
+                (items, ring, t)
+            assert reference_present(items, ring, t) == expected[:t + 1]
 
 
 def test_derivative_escape_guard_fires_on_a_planted_value(monkeypatch):
