@@ -9,7 +9,6 @@ never be conflated.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -129,6 +128,9 @@ def run_campaign(config: CampaignConfig
     min_ci_excess = None
 
     if config.jobs > 1:
+        # imported here so that serial runs never load the pool stack
+        # (multiprocessing, socket, pickle, subprocess, logging)
+        from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(max_workers=config.jobs)
         results = executor.map(_examine, jobs, chunksize=4)
     else:

@@ -163,8 +163,11 @@ class CurveReport:
         return all(v is not False for v in self.checks.values())
 
     def to_dict(self) -> dict:
-        out = {k: list(v) if isinstance(v, tuple) else v
-               for k, v in asdict(self).items()}
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for k, v in out.items():
+            if isinstance(v, tuple):
+                out[k] = list(v)
+        out["checks"] = dict(self.checks)
         out["all_pass"] = self.all_pass
         return out
 

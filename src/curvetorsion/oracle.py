@@ -88,10 +88,9 @@ def _present(items, ring: NumericalSemigroup, top: int) -> list[int]:
     c = ring.conductor
     tail = c + max(items, default=0)
     stop = min(tail, top + 1)
-    below = ring.members(c - 1)
     for i, w in enumerate(items):
         bit = 1 << i
-        for v in below:
+        for v in ring._below:
             if v + w >= stop:
                 break
             masks[v + w] |= bit

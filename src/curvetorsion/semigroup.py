@@ -9,8 +9,10 @@ a strictly larger semigroup until the whole of N is reached.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
 
@@ -26,12 +28,13 @@ class NumericalSemigroup:
     """Immutable numerical semigroup with precomputed invariants.
 
     Membership is stored as a bitmap up to conductor + largest generator;
-    everything from the conductor on is an implicit member.  Instances
+    everything from the conductor on is an implicit member.  The members
+    below the conductor are also kept as a sorted tuple.  Instances
     compare and hash by their minimal generating set.
     """
 
     __slots__ = ("min_generators", "gaps", "multiplicity", "embdim",
-                 "frobenius", "conductor", "genus", "_bitmap")
+                 "frobenius", "conductor", "genus", "_bitmap", "_below")
 
     def __init__(self, min_generators: tuple[int, ...], gaps: tuple[int, ...],
                  conductor: int, bitmap: bytes):
@@ -43,6 +46,7 @@ class NumericalSemigroup:
         self.genus = len(gaps)
         self.frobenius = gaps[-1] if gaps else -1
         self._bitmap = bitmap
+        self._below = tuple(compress(range(conductor), bitmap))
 
     def contains(self, value: int) -> bool:
         if value < 0:
@@ -55,9 +59,8 @@ class NumericalSemigroup:
 
     def members(self, bound: int) -> list[int]:
         """All members up to and including bound, in increasing order."""
-        below = min(bound + 1, self.conductor)
-        bitmap = self._bitmap
-        return [a for a in range(below) if bitmap[a]] \
+        below = self._below
+        return list(below[:bisect_right(below, bound)]) \
             + list(range(self.conductor, bound + 1))
 
     def members_mask(self, bound: int) -> int:

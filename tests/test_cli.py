@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import curvetorsion
 from curvetorsion import (different_inverse_gap, from_generators, full_report,
                           kaehler_different)
 from oracles import run_cli
@@ -296,6 +298,35 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+_POOL_PROBE = """
+import sys
+from curvetorsion.cli import main
+codes = []
+for argv in (["analyze", "3", "5", "7"], ["verify", "--max-genus", "3"]):
+    try:
+        main(argv)
+    except SystemExit as exc:
+        codes.append(exc.code)
+pool = [m for m in ("multiprocessing", "concurrent.futures")
+        if m in sys.modules]
+print(codes, pool, file=sys.stderr)
+"""
+
+
+def test_serial_commands_never_load_the_process_pool():
+    """Only --jobs > 1 imports the process pool; a serial analyze or
+    verify must not pay for multiprocessing and concurrent.futures."""
+    src = str(Path(curvetorsion.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    # analyze exits 0; verify exits 2 on the violation of <4,5,6,7>
+    assert proc.stderr.splitlines()[-1] == "[0, 2] []"
 
 
 @pytest.mark.skipif(shutil.which("curvetorsion") is None,
