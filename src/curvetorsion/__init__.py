@@ -19,9 +19,9 @@ from .formulas import (CHECK_NAMES, CurveReport, chain_drop_sum,
                        nice_aci_drop, normalization_differential_colength,
                        stable_ci_drop)
 from .ideals import (IdealError, ValueSet, complementary_module,
-                     dedekind_different, different_inverse_gap,
-                     fitting_minor_degrees, inverse, kaehler_different,
-                     make_value_set, quotient_length, value_set_of)
+                     dedekind_different, different_inverse_gap, inverse,
+                     kaehler_different, least_minor_degree, make_value_set,
+                     quotient_length, value_set_of)
 from .oracle import (GradedDimensionLedger, RelationModuleLengths,
                      TorsionResult, colength_via_derivative_spans,
                      exactness_defect, genus_via_derivative_spans,

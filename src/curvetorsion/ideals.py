@@ -8,6 +8,12 @@ module, inverses, the two differents) are of this shape, so identities
 between them reduce to finite comparisons, made here on integer
 bitmasks: bit v - lo stands for the value v, for a lower end lo chosen
 per comparison.
+
+The Kaehler different is the ideal of the maximal minors of the
+derivative matrix.  A greedy basis gives its least value, which is all
+the oracles' cutoffs read (least_minor_degree); kaehler_different finds
+the other generators by a search over row subsets that skips every
+subtree whose minors already lie in the ideal found so far.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from functools import lru_cache
 
 from .linalg import Echelon
 from .presentation import Presentation
-from .semigroup import NumericalSemigroup, apery_set, from_generators
+from .semigroup import NumericalSemigroup, apery_set
 
 
 class IdealError(ValueError):
@@ -137,87 +143,35 @@ def inverse(V: ValueSet) -> ValueSet:
     return make_value_set(S, members, tail)
 
 
-@lru_cache(maxsize=None)
-def fitting_minor_degrees(pres: Presentation) -> tuple[int, ...]:
-    """Degrees of the nonvanishing maximal minors of the derivative matrix,
-    up to one conductor above the least one.
+def _greedy_basis(pres: Presentation) -> tuple[list, int]:
+    """The derivative matrix's (degree, coefficients) rows sorted by
+    degree, and the degree total of the greedy basis.
 
     The matrix has one row per relation and one column per
     non-distinguished variable; entry (r, i) is the integer exponent
-    difference times a single power of the uniformizer, so each maximal
-    minor is an integer determinant times the uniformizer to the power
-    sum(chosen relation degrees) - sum(variable weights).  A minor is
-    nonzero exactly when its rows are linearly independent, and
-    independent subsets form a matroid: the greedy algorithm yields the
-    least degree, and degrees at least one conductor higher add nothing
-    to the generated ideal, so a search over that window suffices.
-
-    The result depends on the presentation alone and is memoized per
-    presentation: a campaign asks for it about three times per distinct
-    presentation.  The depth-first search over row subsets carries an
-    Echelon of the rows chosen so far, so each node tests one new row
-    against it instead of ranking the whole chosen set again; the echelon
-    is persistent, so backtracking costs nothing.
-
-    Rows are sorted by degree, and the search stops scanning a level once
-    even the lightest completion leaves the window.  It also skips any row
-    whose subtree cannot add a new total: reach[i][k] is the bitmask of
-    every sum of k degrees taken from rows[i:], independent or not, so a
-    subtree entered through row i at running total t can only produce
-    totals inside reach[i + 1][need - 1] << (t + d_i).  When every such
-    total inside the window is already found, the subtree is skipped.  The
-    found set starts with the greedy basis's total and only grows, so
-    nothing skipped could have added a degree.
-    The skip is a `continue`, not a `break`: a later row has another
-    degree, hence another shift, and may still reach a new total.
+    difference times a power of the uniformizer, so a maximal minor is an
+    integer determinant times the uniformizer to the power sum(chosen
+    relation degrees) - sum(variable weights).  It is nonzero exactly
+    when its rows are independent, and independent subsets form a
+    matroid, so the greedy basis has the least total.
     """
-    n_vars = len(pres.gen_tuple.var_weights)
     skip = pres.gen_tuple.has_x
-    col_sum = sum(pres.gen_tuple.var_weights)
     rows = sorted((rel.degree, rel.coefficients(skip_first=skip))
                   for rel in pres.relations)
-    degrees = [d for d, _ in rows]
-
-    basis, base_sum = Echelon(), 0
+    basis, total = Echelon(), 0
     for d, vec in rows:  # absorb stops taking rows once the rank is full
         grown = basis.absorb((vec,))
-        base_sum += d * (grown.rank - basis.rank)
+        total += d * (grown.rank - basis.rank)
         basis = grown
-    if basis.rank < n_vars:
+    if basis.rank < len(pres.gen_tuple.var_weights):
         raise IdealError("all maximal minors vanish")
+    return rows, total
 
-    conductor = from_generators(pres.gen_tuple.weights).conductor
-    if conductor == 0:
-        return (base_sum - col_sum,)
-    limit = base_sum + conductor
-    window = (1 << limit) - 1
-    n_rows = len(rows)
-    reach = [[0] * (n_vars + 1) for _ in range(n_rows + 1)]
-    reach[n_rows][0] = 1
-    for i in range(n_rows - 1, -1, -1):
-        here, after = reach[i], reach[i + 1]
-        here[0] = 1
-        for k in range(1, n_vars + 1):
-            here[k] = (after[k] | after[k - 1] << degrees[i]) & window
-    found = 1 << base_sum
 
-    def search(start: int, chosen: Echelon, total: int, need: int) -> None:
-        nonlocal found
-        if need == 0:
-            found |= 1 << total
-            return
-        for i in range(start, n_rows - need + 1):
-            d = degrees[i]
-            if total + d + sum(degrees[i + 1:i + need]) >= limit:
-                break
-            if not (reach[i + 1][need - 1] << (total + d)) & window & ~found:
-                continue
-            grown = chosen.extend(rows[i][1])
-            if grown is not None:
-                search(i + 1, grown, total + d, need - 1)
-
-    search(0, Echelon(), 0, n_vars)
-    return tuple(t - col_sum for t in range(limit) if found >> t & 1)
+def least_minor_degree(pres: Presentation) -> int:
+    """Least degree of a nonvanishing maximal minor of the derivative
+    matrix, the least value of its Fitting ideal."""
+    return _greedy_basis(pres)[1] - sum(pres.gen_tuple.var_weights)
 
 
 @lru_cache(maxsize=None)
@@ -228,19 +182,57 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     variables only; the distinguished parameter is a constant of the
     derivation.  For a one-variable curve the derivative matrix is empty
     and the different is the whole ring.
+
+    A minor's value is its row total (see _greedy_basis) minus the
+    column sum.  Every total one conductor past the greedy basis's lies
+    in its tail, so a depth-first search over row subsets below that
+    limit finds the other generators.  covered is the ideal found so far,
+    over row totals: each leaf ORs in S shifted by its total.  Each node
+    extends a persistent Echelon of the rows chosen by one row, so
+    backtracking costs nothing.  A level stops once even its lightest
+    completion reaches the limit, and a row is skipped when every total
+    its subtree can reach, reach[i + 1][need - 1] << (t + d_i) with
+    reach[i][k] the sums of k degrees of rows[i:], is already covered.
+    The skip is a `continue`, not a `break`: a later row has another
+    degree, hence another shift, and may still reach an uncovered total.
     """
     if S.embdim == 1:
         return value_set_of(S)
     if pres.gen_tuple.weights != S.min_generators or not pres.gen_tuple.has_x:
         raise IdealError("presentation does not match the curve")
-    degs = fitting_minor_degrees(pres)
-    base = min(degs)
-    tail = base + S.conductor
-    found = 0  # bit v - base for each value v of a minor times a member
-    for v in degs:
-        found |= S.members_mask(tail - v) << (v - base)
-    values = [base + i for i in range(tail - base) if found >> i & 1]
-    return make_value_set(S, values, tail)
+    rows, base_sum = _greedy_basis(pres)
+    degrees = [d for d, _ in rows]
+    n_vars, n_rows = S.embdim - 1, len(rows)
+    limit = base_sum + S.conductor
+    window = (1 << limit) - 1
+    reach = [[0] * (n_vars + 1) for _ in range(n_rows + 1)]
+    reach[n_rows][0] = 1
+    for i in range(n_rows - 1, -1, -1):
+        here, after = reach[i], reach[i + 1]
+        here[0] = 1
+        for k in range(1, n_vars + 1):
+            here[k] = (after[k] | after[k - 1] << degrees[i]) & window
+    covered = S.members_mask(limit - 1 - base_sum) << base_sum
+
+    def search(start: int, chosen: Echelon, total: int, need: int) -> None:
+        nonlocal covered
+        if need == 0:
+            covered |= S.members_mask(limit - 1 - total) << total
+            return
+        for i in range(start, n_rows - need + 1):
+            d = degrees[i]
+            if total + d + sum(degrees[i + 1:i + need]) >= limit:
+                break
+            if not (reach[i + 1][need - 1] << (total + d)) & window & ~covered:
+                continue
+            grown = chosen.extend(rows[i][1])
+            if grown is not None:
+                search(i + 1, grown, total + d, need - 1)
+
+    search(0, Echelon(), 0, n_vars)
+    col_sum = sum(S.min_generators[1:])
+    values = [t - col_sum for t in range(base_sum, limit) if covered >> t & 1]
+    return make_value_set(S, values, limit - col_sum)
 
 
 def dedekind_different(S: NumericalSemigroup) -> ValueSet:

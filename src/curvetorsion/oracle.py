@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import OracleError
-from .ideals import fitting_minor_degrees
+from .ideals import least_minor_degree
 from .linalg import integer_rank
 from .presentation import (GeneratorTuple, Presentation, blowup_presentation,
                            presentation_of, rescaled_relation_generators)
@@ -195,7 +195,7 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
         return GradedDimensionLedger((), 0, 0, (0, 0))
     ambient = from_generators(tup.weights)
     width = max(tup.weights)
-    cutoff = width + ambient.conductor + min(fitting_minor_degrees(pres))
+    cutoff = width + ambient.conductor + least_minor_degree(pres)
     rows = _MaskedRanks.of(pres.relations, tup.has_x)
     top = cutoff + width
     slots = _present(tup.var_weights, ambient, top)
@@ -341,7 +341,7 @@ def relation_module_lengths(S: NumericalSemigroup,
     rescaled = rescaled_relation_generators(S, opres)
     col_weights = GeneratorTuple(step.generator_tuple).var_weights
 
-    cutoff = 2 * q + min(fitting_minor_degrees(opres)) + S.conductor \
+    cutoff = 2 * q + least_minor_degree(opres) + S.conductor \
         + max(S.min_generators)
     width = max(q, max(col_weights))
 

@@ -16,11 +16,12 @@ ch. 7).  Each relation joins two lexicographically extreme
 factorizations, and those are built greedily, one coordinate at a time,
 against the sums the component's later weights can still reach.
 
-The generation check, relations_generate, is the independent second
-route that confirms a presentation generates.  It lists no factorization
-either: a knapsack over the weights gives, per degree, the set of support
-masks of its factorizations, and the R-classes are merged from those
-masks, without reading S or G_d.
+The generation check, relations_generate, is the second route that
+confirms a presentation generates.  It lists no factorization either: a
+knapsack over the weights gives, per degree, the mask of the positions
+its factorizations use, and the R-classes are merged from those k-bit
+masks without reading S.  The masks are the neighbourhoods of G_d that
+minimal_presentation reads from S, derived here from the weights alone.
 """
 
 from __future__ import annotations
@@ -215,31 +216,21 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
     return Presentation(gen_tuple, tuple(relations))
 
 
-@lru_cache(maxsize=None)
-def _lacking(k: int, p: int) -> int:
-    """Bitset over the support masks 0..2^k - 1 of those without bit p."""
-    bits, width = (1 << (1 << p)) - 1, 2 << p
-    while width < 1 << k:
-        bits |= bits << width
-        width <<= 1
-    return bits
-
-
-def _support_sets(weights: tuple[int, ...], top: int) -> list[int]:
-    """sup[d] for d = 0..top: bit m is set when some factorization of
-    degree d has support mask m (bit p of m for a nonzero exponent at p).
-
-    A knapsack over the positions: adding e_p to a factorization of
-    degree d - w_p moves its mask m to m | 1 << p.
-    """
-    sup = [1] + [0] * top
-    for p, w in enumerate(weights):
-        lacks, step = _lacking(len(weights), p), 1 << p
-        for d in range(w, top + 1):
-            x = sup[d - w]
-            if x:
-                sup[d] |= (x & lacks) << step | (x & ~lacks)
-    return sup
+def _used_positions(weights: tuple[int, ...], top: int) -> list[int]:
+    """used[d] for d = 0..top: bit p is set when some factorization of
+    degree d has a nonzero exponent at position p, that is, when d - w_p
+    is 0 or has a factorization.  A knapsack over the weights alone; the
+    degrees run on the outside, so every lower degree is complete before
+    any position reads it."""
+    used = [0] * (top + 1)
+    bits = [(1 << p, w) for p, w in enumerate(weights)]
+    for d in range(1, top + 1):
+        mask = 0
+        for bit, w in bits:
+            if w == d or w < d and used[d - w]:
+                mask |= bit
+        used[d] = mask
+    return used
 
 
 def _support(vec: tuple[int, ...]) -> int:
@@ -270,11 +261,18 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     degree d that use generator i are e_i plus those of d - w_i, so they
     are connected; and a translate with a nonzero cofactor c stays among
     the factorizations that use a generator of c.  So degree d is
-    connected exactly when its relations of degree d join its R-classes:
-    the components of the positions merged along each support mask in
-    sup[d] (_support_sets).  No factorization is listed, and neither the
-    members of S nor G_d is read, so this stays a route independent of
-    minimal_presentation.
+    connected exactly when its relations of degree d join its R-classes.
+    Every factorization that uses p is e_p plus one of degree d - w_p, so
+    the R-class of p holds p and every position in used[d - w_p]
+    (_used_positions): merging those k-bit masks for each p in used[d]
+    gives the same classes as merging the support of every factorization.
+
+    No factorization is listed and the members of S are not read.  Said
+    plainly: used[d] and used[d - w_p] are the vertices of G_d and the
+    neighbours of p in it, the sets minimal_presentation reads from the
+    membership bitmask of S; here a knapsack derives them from the
+    weights alone, so the two routes share the graph but not the way it
+    is computed.
 
     A relation whose sides are not of its labelled degree raises
     PresentationError.
@@ -290,14 +288,15 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
         joins.setdefault(rel.degree, []).append(
             _support(rel.lhs) | _support(rel.rhs))
     top = betti_degree_bound(pres.gen_tuple) + extra_degrees
-    for d, x in enumerate(_support_sets(weights, top)):
+    used = _used_positions(weights, top)
+    for d, x in enumerate(used):
         if not x & (x - 1):
             continue
         comps: list[int] = []
         while x:
             low = x & -x
             x ^= low
-            _merge(comps, low.bit_length() - 1)
+            _merge(comps, low | used[d - weights[low.bit_length() - 1]])
         for joined in joins.get(d, ()):
             _merge(comps, joined)
         if len(comps) > 1:

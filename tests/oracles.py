@@ -4,7 +4,8 @@ Everything in this module is deliberately naive and shares no code with
 the package, so agreement between the two is evidence of correctness
 rather than a tautology.  The exceptions are the per-degree walks of the
 graded oracles, which take their inputs from the package and keep only
-the degree loops that the per-key evaluation replaced, and run_cli.
+the degree loops that the per-key evaluation replaced, the two check_
+drivers that compare the package with these references, and run_cli.
 """
 
 from __future__ import annotations
@@ -190,13 +191,17 @@ def reference_relations_generate(pres, extra_degrees: int = 0) -> bool:
     return True
 
 
-def support_sets(weights, top: int) -> list[int]:
-    """For each degree 0..top, the bitset of the support masks of its
-    brute-force factorizations: bit m for a factorization whose nonzero
-    exponents sit exactly at the set bits of m."""
-    return [sum({1 << sum(1 << p for p, e in enumerate(f) if e)
-                 for f in naive_factorizations(tuple(weights), d)})
-            for d in range(top + 1)]
+def used_positions(weights, top: int) -> list[int]:
+    """For each degree 0..top, the OR of the support masks of its
+    brute-force factorizations: bit p when some factorization has a
+    nonzero exponent at position p."""
+    out = []
+    for d in range(top + 1):
+        used = 0
+        for f in naive_factorizations(tuple(weights), d):
+            used |= sum(1 << p for p, e in enumerate(f) if e)
+        out.append(used)
+    return out
 
 
 def _factorization_table(weights, top: int):
@@ -422,8 +427,9 @@ def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:
 
     A greedy least-degree basis, then a depth-first search over row
     subsets within one conductor of it that re-ranks the whole chosen set
-    at every node.  Kept as the reference for the memoized, incremental
-    search that replaced it.
+    at every node, listing every nonvanishing degree in that window.  Kept
+    as the reference for least_minor_degree (its least entry) and for
+    kaehler_different (the ideal its entries generate).
     """
     n_vars = len(pres.gen_tuple.var_weights)
     skip = pres.gen_tuple.has_x
@@ -499,8 +505,7 @@ def reference_relative_differential_dims(pres):
         return oracle.GradedDimensionLedger((), 0, 0, (0, 0))
     ambient = oracle.from_generators(tup.weights)
     width = max(tup.weights)
-    cutoff = width + ambient.conductor \
-        + min(oracle.fitting_minor_degrees(pres))
+    cutoff = width + ambient.conductor + oracle.least_minor_degree(pres)
     rows = oracle._MaskedRanks.of(pres.relations, tup.has_x)
     top = cutoff + width
     slots = reference_present(tup.var_weights, ambient, top)
@@ -576,7 +581,7 @@ def reference_relation_module_lengths(S, reverse_tiebreak: bool = False):
     rescaled = oracle.rescaled_relation_generators(S, opres)
     col_weights = oracle.GeneratorTuple(step.generator_tuple).var_weights
 
-    cutoff = 2 * q + min(oracle.fitting_minor_degrees(opres)) + S.conductor \
+    cutoff = 2 * q + oracle.least_minor_degree(opres) + S.conductor \
         + max(S.min_generators)
     width = max(q, max(col_weights))
 
@@ -640,6 +645,38 @@ def check_graded_oracles(curves) -> int:
             assert relation_module_lengths(S, tiebreak) == \
                 reference_relation_module_lengths(S, tiebreak), (S, tiebreak)
             compared += 4
+    return compared
+
+
+def check_relations_generate(curves, whole: bool = True, dropped: bool = True,
+                             extras=(0,)) -> int:
+    """Assert that relations_generate equals reference_relations_generate
+    on the distinct minimal and blowup presentations of the curves under
+    both tie-breaks, for each count of extra degrees: whole, where each
+    must generate, and with each relation dropped, where none may; returns
+    the number of comparisons made."""
+    from curvetorsion import (Presentation, blowup_presentation,
+                              presentation_of, relations_generate)
+
+    presentations = set()
+    for S in curves:
+        for tiebreak in (False, True):
+            presentations.add(presentation_of(S, tiebreak))
+            presentations.add(blowup_presentation(S, tiebreak))
+    compared = 0
+    for pres in sorted(presentations, key=repr):
+        variants = [pres] if whole else []
+        if dropped:
+            variants += [Presentation(pres.gen_tuple, pres.relations[:k]
+                                      + pres.relations[k + 1:])
+                         for k in range(pres.mu)]
+        for variant in variants:
+            for extra in extras:
+                got = relations_generate(variant, extra)
+                assert got == reference_relations_generate(variant, extra), \
+                    (variant, extra)
+                assert got == (variant is pres), (variant, extra)
+                compared += 1
     return compared
 
 

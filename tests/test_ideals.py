@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from curvetorsion import (IdealError, ValueSet, blowup_presentation,
-                          complementary_module, dedekind_different,
-                          deviation, different_inverse_gap,
-                          enumerate_by_genus, fitting_minor_degrees,
+from curvetorsion import (IdealError, Presentation, ValueSet,
+                          blowup_presentation, complementary_module,
+                          dedekind_different, deviation,
+                          different_inverse_gap, enumerate_by_genus,
                           from_generators, inverse, kaehler_different,
-                          make_value_set, presentation_of, quotient_length,
-                          value_set_of)
+                          least_minor_degree, make_value_set,
+                          presentation_of, quotient_length, value_set_of)
 from curvetorsion import ideals
-from oracles import (brute_force_minor_degrees,
-                     reference_fitting_minor_degrees)
+from oracles import (brute_force_minor_degrees, naive_conductor,
+                     naive_members, reference_fitting_minor_degrees)
 
 
 def vs(gens, members, tail):
@@ -101,7 +101,8 @@ def test_differents_pinned(gens):
     S = from_generators(gens)
     pres = presentation_of(S)
     fit, dk, dd, gap = DIFFERENTS[gens]
-    assert fitting_minor_degrees(pres) == fit
+    assert reference_fitting_minor_degrees(pres) == fit
+    assert least_minor_degree(pres) == fit[0]
     DK = kaehler_different(S, pres)
     DD = dedekind_different(S)
     assert (DK.members, DK.tail_start) == dk
@@ -121,19 +122,29 @@ def test_the_two_differents_differ_beyond_deviation_one():
         assert DD.contains(v)  # containment still holds one way
 
 
+def _assert_ideal_of_degrees(S, different, degrees):
+    """different is the ideal generated by the values in degrees: the
+    union of v + S, every value from min(degrees) + conductor on."""
+    tail = min(degrees) + naive_conductor(S.min_generators)
+    members = naive_members(S.min_generators, tail)
+    union = {v + m for v in degrees for m in members if v + m < tail}
+    assert set(different.values_up_to(tail)) == union, (S, different)
+    assert different.tail_start <= tail, (S, different)
+
+
 @pytest.mark.parametrize("gens", [(3, 4, 5), (4, 5, 6, 7), (3, 5, 7)])
 def test_fitting_degrees_match_exhaustive_minor_search(gens):
-    # regression guard for the pruned search: agree with trying every
-    # subset of relation rows inside the reported window
+    # regression guard for the greedy basis and the pruned search: agree
+    # with trying every subset of relation rows inside the window
     S = from_generators(gens)
     pres = presentation_of(S)
-    got = fitting_minor_degrees(pres)
-    conductor = from_generators(pres.gen_tuple.weights).conductor
-    limit = min(got) + max(conductor, 1)
+    least = least_minor_degree(pres)
+    limit = least + S.conductor
     brute = brute_force_minor_degrees(pres, limit)
-    assert set(d for d in got if d < limit) == brute
-    assert min(got) == min(brute)
-    assert got == reference_fitting_minor_degrees(pres)
+    reference = reference_fitting_minor_degrees(pres)
+    assert least == min(brute) == min(reference)
+    assert set(d for d in reference if d < limit) == brute
+    _assert_ideal_of_degrees(S, kaehler_different(S, pres), brute)
 
 
 def _corpus_presentations(max_genus):
@@ -150,18 +161,42 @@ def _corpus_presentations(max_genus):
 
 
 def test_fitting_degrees_match_reference_search_on_the_corpus():
-    # the memoized, incremental, reach-pruned search returns exactly what
-    # the original search re-ranking every node over Fraction returns
+    # the greedy least degree, and on the minimal presentations the ideal
+    # of the incremental, cover-pruned search, against the original
+    # search re-ranking every node over Fraction
     presentations = _corpus_presentations(6)
     assert len(presentations) == 145
+    minimal = 0
     for pres, gens in presentations.items():
-        assert fitting_minor_degrees(pres) == \
-            reference_fitting_minor_degrees(pres), (gens, pres.gen_tuple)
+        reference = reference_fitting_minor_degrees(pres)
+        assert least_minor_degree(pres) == min(reference), \
+            (gens, pres.gen_tuple)
+        if pres.gen_tuple.weights == gens:
+            S = from_generators(gens)
+            _assert_ideal_of_degrees(S, kaehler_different(S, pres), reference)
+            minimal += 1
+    assert minimal == 72
 
 
 def test_kaehler_different_of_regular_curve_is_the_ring():
     N = from_generators((1,))
     assert kaehler_different(N, presentation_of(N)) == value_set_of(N)
+
+
+def test_rows_that_cannot_span_leave_no_maximal_minor():
+    # <3,4,5> has three relations on two columns; any two of them still
+    # span, so keep only the first, and every maximal minor vanishes
+    S = from_generators((3, 4, 5))
+    full = presentation_of(S)
+    for k in range(full.mu):
+        dropped = full.relations[:k] + full.relations[k + 1:]
+        assert least_minor_degree(Presentation(full.gen_tuple, dropped)) \
+            >= least_minor_degree(full)
+    pres = Presentation(full.gen_tuple, full.relations[:1])
+    with pytest.raises(IdealError, match=r"^all maximal minors vanish$"):
+        least_minor_degree(pres)
+    with pytest.raises(IdealError, match=r"^all maximal minors vanish$"):
+        kaehler_different(S, pres)
 
 
 def test_kaehler_different_validates_presentation():

@@ -262,7 +262,7 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
     with monkeypatch.context() as m:
         # a negative cutoff: no degree is summed, every window index is
         # clamped at 0, and the length check is what fires
-        m.setattr(oracle, "fitting_minor_degrees", lambda pres: (-30,))
+        m.setattr(oracle, "least_minor_degree", lambda pres: -30)
         message = _raised(lengths, S)
         assert message == "rescaling length check failed: 0 != 16 for <4,6,7>"
         assert message == _raised(reference_relation_module_lengths, S)
@@ -282,16 +282,17 @@ def test_differential_cutoff_violation_fires_on_a_planted_cutoff(
         monkeypatch):
     S = from_generators((4, 5))
     pres = presentation_of(S)
-    real = oracle.fitting_minor_degrees
-    monkeypatch.setattr(oracle, "fitting_minor_degrees",
-                        lambda pres: (min(real(pres)) - 8,))
-    message = _raised(relative_differential_dims.__wrapped__, pres)
-    assert message == ("cutoff violation: differential dimension 1 at degree "
-                       "26 beyond 24")
-    assert message == _raised(reference_relative_differential_dims, pres)
+    real = oracle.least_minor_degree
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "least_minor_degree", lambda pres: real(pres) - 8)
+        message = _raised(relative_differential_dims.__wrapped__, pres)
+        assert message == ("cutoff violation: differential dimension 1 at "
+                           "degree 26 beyond 24")
+        assert message == _raised(reference_relative_differential_dims, pres)
     # degree 26 shares its key with degree 5, below the cutoff: the fault
-    # is reported at the key's first degree past the cutoff
-    assert relative_differential_dims(pres).dimension(5) == 1
+    # is reported at the key's first degree past the cutoff.  The ledger is
+    # read with the true cutoff, so the memo never holds a planted one.
+    assert relative_differential_dims.__wrapped__(pres).dimension(5) == 1
 
 
 def _lowered_ledger(monkeypatch, shift: int) -> None:
@@ -372,13 +373,13 @@ def test_lowered_cutoffs_match_the_per_degree_references(monkeypatch, gens):
     # every Fitting degree from the true one down past zero, so the
     # cutoffs run through the last nonzero degrees and turn negative
     S = from_generators(gens)
-    real = oracle.fitting_minor_degrees
+    real = oracle.least_minor_degree
     monkeypatch.setattr(oracle, "relative_differential_dims",
                         relative_differential_dims.__wrapped__)
     seen = set()
     for shift in range(0, 61, 2):
-        monkeypatch.setattr(oracle, "fitting_minor_degrees",
-                            lambda pres: (min(real(pres)) - shift,))
+        monkeypatch.setattr(oracle, "least_minor_degree",
+                            lambda pres: real(pres) - shift)
         for pres in (presentation_of(S), blowup_presentation(S)):
             got = _outcome(relative_differential_dims.__wrapped__, pres)
             assert got == _outcome(reference_relative_differential_dims,

@@ -20,10 +20,10 @@ from curvetorsion import (GeneratorTuple, Presentation, apery_set, blowup,
                           presentation_of, relations_generate, value_set_of)
 from curvetorsion.linalg import Echelon, integer_rank
 from curvetorsion.oracle import _MaskedRanks
-from curvetorsion.presentation import _support_sets
+from curvetorsion.presentation import _used_positions
 from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
                      fraction_rank, naive_members,
-                     reference_minimal_presentation, support_sets)
+                     reference_minimal_presentation, used_positions)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -194,7 +194,8 @@ def test_minimal_presentation_of_any_weight_tuple(weights, has_x):
 @given(weight_tuples, st.integers(min_value=0, max_value=20))
 def test_support_sets_of_any_weight_tuple(weights, top):
     # no coprimality needed: the knapsack reads only the weights
-    assert _support_sets(tuple(weights), top) == support_sets(weights, top)
+    assert _used_positions(tuple(weights), top) == \
+        used_positions(weights, top)
 
 
 CORPUS_GENUS = 6
