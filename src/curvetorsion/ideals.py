@@ -7,7 +7,10 @@ tail onward.  All the dualizing objects of this package (complementary
 module, inverses, the two differents) are of this shape, so identities
 between them reduce to finite comparisons, made here on integer
 bitmasks: bit v - lo stands for the value v, for a lower end lo chosen
-per comparison.
+per comparison.  A value set is the union of v + S over its module
+generators v, at most multiplicity many, so an inverse is one AND of
+the ring's members shifted down by each generator, not one test per
+candidate value.
 
 The Kaehler different is the ideal of the maximal minors of the
 derivative matrix.  A greedy basis gives its least value, which is all
@@ -19,7 +22,7 @@ subtree whose minors already lie in the ideal found so far.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .linalg import Echelon
 from .presentation import Presentation
@@ -55,10 +58,20 @@ class ValueSet:
         out.extend(range(self.tail_start, bound))
         return out
 
+    @cached_property
+    def _bits(self) -> int:
+        """The members below the tail as one int, bit m - min_value for
+        member m, built on first use."""
+        lo, out = self.min_value, 0
+        for m in self.members:
+            out |= 1 << (m - lo)
+        return out
+
     def mask(self, lo: int, bound: int) -> int:
         """The values in [lo, bound) as a bitmask, bit v - lo for value v;
         lo <= bound, and -(1 << k) sets every bit from k on."""
-        out = sum(1 << (m - lo) for m in self.members if m >= lo)
+        shift = self.min_value - lo
+        out = self._bits << shift if shift >= 0 else self._bits >> -shift
         out |= -(1 << (max(self.tail_start, lo) - lo))
         return out & ((1 << (bound - lo)) - 1)
 
@@ -129,17 +142,37 @@ def complementary_module(S: NumericalSemigroup) -> ValueSet:
 
 
 def inverse(V: ValueSet) -> ValueSet:
-    """Value set of {m : m + V inside the ring}.  A candidate m from
-    -min_value on qualifies when the finite part of V, shifted by m,
-    misses every gap of the ring."""
+    """Value set of {m : m + V inside the ring}.
+
+    V is the union of v + S over its module generators v, the values of V
+    with v - g outside V for every minimal generator g; each is the least
+    value of V in its class mod the multiplicity, so there are at most
+    that many.  S + S is inside S, so m + V lies in the ring exactly when
+    every m + v does, and from the tail start on it always does.  The
+    candidates m from -min_value on are one mask, bit m - lo, ANDed with
+    the ring's members shifted down by each generator below the tail.
+    """
     S = V.ambient
-    cond = S.conductor
-    tail = cond - V.min_value
-    lo = max(-V.min_value, cond - V.tail_start)
-    finite_part = V.mask(V.min_value, V.tail_start)
-    gaps = ((1 << cond) - 1) & ~S.members_mask(cond)
-    members = [m for m in range(lo, tail)
-               if not (finite_part << (m + V.min_value) & gaps)]
+    lo_v, cond = V.min_value, S.conductor
+    tail = cond - lo_v
+    lo = max(-lo_v, cond - V.tail_start)
+    finite = V.mask(lo_v, V.tail_start)
+    reached = 0
+    for g in S.min_generators:
+        reached |= finite << g
+    gens = finite & ~reached
+    # m < tail and every generator lies below the tail start
+    ring = S.members_mask(tail + V.tail_start)
+    fits = (1 << (tail - lo)) - 1
+    while gens:
+        low = gens & -gens
+        fits &= ring >> (lo + lo_v + low.bit_length() - 1)
+        gens ^= low
+    members = []
+    while fits:
+        low = fits & -fits
+        members.append(lo + low.bit_length() - 1)
+        fits ^= low
     return make_value_set(S, members, tail)
 
 

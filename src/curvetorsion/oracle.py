@@ -1,6 +1,6 @@
 """Exact graded oracles for differential modules of monomial curves.
 
-Everything here is computed degree by degree from integer matrices.  In
+Everything here is graded and computed from integer matrices.  In
 each degree the ambient free module has one slot per variable whose shift
 lands in the coefficient semigroup, and a relation contributes one row:
 the unique monomial multiple of its derivative vector in that degree.
@@ -9,14 +9,20 @@ Dimensions are slot counts minus exact integer ranks.
 A row's coefficients do not depend on the degree it is placed in, and
 every coefficient in a slot that is invalid in that degree is zero (the
 slot guard checks it), so the rank in a degree is a function of which
-rows are active there, a row bitmask.  Each oracle call builds the slot
-masks and row masks of all its degrees up front, one pass over the ring's
-members below the conductor per list (_present), and pairs them into one
-key per degree.  Many degrees share a key, and from the last mask change
-on every degree does.  Each distinct key is ranked and guarded once,
-through one _MaskedRanks whose memo lives for that call only, and the
-degrees only read the result (_tabulate); the two torsion routes build
-their own masks and helpers and never share a rank.
+rows are active there, a row bitmask.  A slot or row of weight w is
+present in degree d when d - w is a member of the ring, so its degrees
+are the ring's members shifted by w, one int.  Each oracle call splits
+the degrees up to its top by these masks into classes of degrees with
+equal keys (_degree_classes), each class one int, and evaluates every
+class once, in order of first degree (_evaluate): a total is the value
+times the number of the class's degrees up to the cutoff, the audit
+reads its degrees past the cutoff, and a guard names its first degree.
+Ranks go through one _MaskedRanks whose memo lives for that call only;
+the two torsion routes build their own classes and helpers and never
+share a rank.
+
+The derivative spans are unions of the ring shifted by g - 1 over its
+minimal generators g, one shift per generator.
 
 Each quantity carries a provable degree cutoff.  The code always computes
 one stability window past the cutoff and raises OracleError if anything
@@ -77,72 +83,102 @@ class RelationModuleLengths:
     rescaled_over_original: int
 
 
-def _present(items, ring: NumericalSemigroup, top: int) -> list[int]:
-    """Per degree 0..top, the bitmask of the items, slot weights or row
-    degrees, whose shift by that degree lands in the ring: the valid
-    slots, or the active rows.  Item i of weight w is in degree v + w for
-    every member v of the ring; the items are nonnegative.  From the
-    conductor c on every value is a member, so item i is in every degree
-    from c + w on, and every item in every degree from c + max w on."""
-    masks = [0] * (top + 1)
-    c = ring.conductor
-    tail = c + max(items, default=0)
-    stop = min(tail, top + 1)
-    for i, w in enumerate(items):
-        bit = 1 << i
-        for v in ring._below:
-            if v + w >= stop:
-                break
-            masks[v + w] |= bit
-        for d in range(c + w, stop):
-            masks[d] |= bit
-    if tail <= top:
-        masks[tail:] = [(1 << len(items)) - 1] * (top + 1 - tail)
-    return masks
+def _degree_classes(items, top: int) -> list[tuple[int, int, int]]:
+    """The degrees 0..top grouped by key, as (first degree, degrees, key)
+    in order of first degree.
 
+    items are (ring, weight) pairs, weight >= 0; item i is present in
+    degree d when d - weight is a member of its ring, so its degrees are
+    the ring's members shifted by its weight.  The key of a degree is the
+    bitmask of its present items, bit i for item i, and a class holds its
+    degrees as one int, bit d for degree d.
 
-def _tabulate(keys, evaluate, audit) -> list:
-    """Per degree, evaluate(key) of that degree's key, evaluated once per
-    distinct key in order of first occurrence; then audit(values), which
-    checks the window past the cutoff and raises on the lowest bad degree.
-
-    A guard in evaluate reports its key's first degree, keys.index(key).
-    Before that fault propagates, the degrees below it are audited, so a
-    fault at a lower degree wins, as in a walk degree by degree.
+    Items with the same presence mask form one group.  Every group cuts
+    each class in two at most: the part inside its mask is appended with
+    the group's bits added to its key, the rest keeps its place and key,
+    and a class wholly inside only gains the bits.
     """
-    table = {}
-    try:
-        for key in dict.fromkeys(keys):
-            table[key] = evaluate(key)
-    except OracleError:
-        audit([table[k] for k in keys[:keys.index(key)]])
-        raise
-    values = [table[k] for k in keys]
-    audit(values)
+    groups: dict[int, int] = {}
+    for i, (ring, w) in enumerate(items):
+        present = ring.members_mask(top - w) << w
+        groups[present] = groups.get(present, 0) | 1 << i
+    groups.pop(0, None)
+    classes = [(1 << (top + 1)) - 1] if top >= 0 else []
+    keys = [0] * len(classes)
+    for present, bits in groups.items():
+        for k in range(len(classes)):
+            part = classes[k] & present
+            if part:
+                if part == classes[k]:
+                    keys[k] |= bits
+                else:
+                    classes[k] ^= part
+                    classes.append(part)
+                    keys.append(keys[k] | bits)
+    out = [((c & -c).bit_length() - 1, c, k) for c, k in zip(classes, keys)]
+    out.sort()
+    return out
+
+
+def _evaluate(classes, cutoff: int, evaluate, violation) -> list:
+    """(degrees up to the cutoff, value) per class that has such degrees,
+    value = evaluate(key, first degree), once per class in order of first
+    degree.
+
+    violation(value, d) is a message when value may not stand at degree d
+    past the cutoff, else falsy; it is asked at each class's lowest degree
+    past the cutoff.  The lowest such degree raises OracleError, and so
+    does a guard inside evaluate, which names the class's first degree.
+    Once a violation lies below the next class's first degree, no later
+    class can fault lower, so it is raised before that class runs: the
+    lowest faulty degree wins, as in a walk degree by degree.  A negative
+    cutoff is clamped: every degree lies past it.
+    """
+    below = (1 << max(cutoff + 1, 0)) - 1
+    fault = None
+    values = []
+    for first, degrees, key in classes:
+        if fault and fault[0] < first:
+            break
+        value = evaluate(key, first)
+        if degrees > below:
+            past = degrees & ~below
+            d = (past & -past).bit_length() - 1
+            if not fault or d < fault[0]:
+                message = violation(value, d)
+                if message:
+                    fault = (d, message)
+        if first <= cutoff:
+            values.append((degrees & below, value))
+    if fault:
+        raise OracleError(fault[1])
     return values
 
 
-def _zero_past(cutoff: int, what: str):
-    """The audit for _tabulate that every value past the cutoff is zero."""
-    def audit(values):
-        for d in range(max(cutoff + 1, 0), len(values)):
-            if values[d]:
-                raise OracleError(f"cutoff violation: {what} {values[d]} at "
-                                  f"degree {d} beyond {cutoff}")
-    return audit
+def _spread(values) -> tuple[tuple[int, int], ...]:
+    """(degree, value) for every degree of every class with a nonzero
+    value, in order of degree."""
+    out = []
+    for degrees, value in values:
+        if value:
+            while degrees:
+                low = degrees & -degrees
+                out.append((low.bit_length() - 1, value))
+                degrees ^= low
+    out.sort()
+    return tuple(out)
 
 
 class _MaskedRanks:
     """Restricted ranks of the subsets of one list of rows, by row bitmask.
 
-    The oracles call it once per distinct (row mask, valid slots) pair,
-    not once per degree.  Each rank is memoized with the union of its
-    rows' supports, and every call, a memo hit too, checks that union
-    against the valid slots.  A nonzero coefficient outside a valid slot
-    would mean the module element escapes the ambient free module, which
-    the construction makes impossible; it is still checked.  Past that check
-    every invalid column is zero, so the full-width rows have the
-    restricted rank.
+    The oracles call it once per degree class, not once per degree.  Each
+    rank is memoized with the union of its rows' supports, and every
+    call, a memo hit too, checks that union against the valid slots.  A
+    nonzero coefficient outside a valid slot would mean the module
+    element escapes the ambient free module, which the construction makes
+    impossible; it is still checked.  Past that check every invalid
+    column is zero, so the full-width rows have the restricted rank.
     """
 
     def __init__(self, vectors, degrees=()):
@@ -156,7 +192,8 @@ class _MaskedRanks:
     def of(cls, relations, skip_first: bool) -> _MaskedRanks:
         """The derivative rows of the relations and their degrees."""
         return cls([rel.coefficients(skip_first=skip_first)
-                    for rel in relations], [rel.degree for rel in relations])
+                    for rel in relations],
+                   tuple(rel.degree for rel in relations))
 
     def rank(self, mask: int, valid: int) -> int:
         """Rank of the rows in mask restricted to the valid slots."""
@@ -197,21 +234,22 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     width = max(tup.weights)
     cutoff = width + ambient.conductor + least_minor_degree(pres)
     rows = _MaskedRanks.of(pres.relations, tup.has_x)
-    top = cutoff + width
-    slots = _present(tup.var_weights, ambient, top)
-    active = _present(rows.degrees, ambient, top)
-    keys = list(zip(active, slots))
+    n_slots = len(tup.var_weights)
+    slots = (1 << n_slots) - 1
+    classes = _degree_classes(
+        [(ambient, w) for w in tup.var_weights + rows.degrees], cutoff + width)
 
-    def dimension(key):
-        mask, valid = key
-        return valid.bit_count() - rows.rank(mask, valid)
+    def dimension(key, first):
+        valid = key & slots
+        return valid.bit_count() - rows.rank(key >> n_slots, valid)
 
-    dims = _tabulate(keys, dimension,
-                     _zero_past(cutoff, "differential dimension"))
-    per_degree = tuple((d, dim) for d, dim in
-                       enumerate(dims[:max(cutoff + 1, 0)]) if dim)
-    return GradedDimensionLedger(per_degree, sum(dim for _, dim in per_degree),
-                                 cutoff, (cutoff, cutoff + width))
+    values = _evaluate(classes, cutoff, dimension, lambda dim, d: dim and (
+        f"cutoff violation: differential dimension {dim} at degree {d} "
+        f"beyond {cutoff}"))
+    return GradedDimensionLedger(
+        _spread(values), sum(dim * degrees.bit_count()
+                             for degrees, dim in values),
+        cutoff, (cutoff, cutoff + width))
 
 
 def _span_values(S: NumericalSemigroup, bound: int) -> int:
@@ -219,13 +257,15 @@ def _span_values(S: NumericalSemigroup, bound: int) -> int:
     bound, as a bitmask (bit v for value v).
 
     A monomial of value a times the derivative of one of value m has
-    value a + m - 1; m = 0 differentiates to zero and is excluded.  So the
-    span is the ring shifted by m - 1 for every nonzero member m.
+    value a + m - 1; m = 0 differentiates to zero and is excluded.  Every
+    nonzero member is a minimal generator g plus a member, and S + S is
+    inside S, so the span is the ring shifted by g - 1 for every minimal
+    generator g.
     """
     ring = S.members_mask(bound)
     span = 0
-    for m in S.members(bound)[1:]:
-        span |= ring << (m - 1)
+    for g in S.min_generators:
+        span |= ring << (g - 1)
     return span & ((1 << bound) - 1)
 
 
@@ -291,26 +331,26 @@ def torsion_length(S: NumericalSemigroup,
     weights = pres.gen_tuple.weights
     cutoff, width = ledger.cutoff, max(weights)
     rows = _MaskedRanks.of(pres.relations, False)
-    top = cutoff + width
-    slots = _present(weights, S, top)
-    active = _present(rows.degrees, S, top)
-    keys = list(zip(active, slots))
+    n_slots = len(weights)
+    slots = (1 << n_slots) - 1
+    classes = _degree_classes([(S, w) for w in weights + rows.degrees],
+                              cutoff + width)
 
-    def contribution(key):
-        mask, valid = key
+    def contribution(key, first):
+        valid = key & slots
         kernel_dim = valid.bit_count() - 1 if valid else 0
-        contrib = kernel_dim - rows.rank(mask, valid)
+        contrib = kernel_dim - rows.rank(key >> n_slots, valid)
         if contrib < 0:
             raise OracleError(
                 f"relation rows exceed the evaluation kernel at degree "
-                f"{keys.index(key)}")
+                f"{first}")
         return contrib
 
-    contribs = _tabulate(keys, contribution,
-                         _zero_past(cutoff, "torsion contribution"))
-    contributions = tuple((d, c) for d, c in
-                          enumerate(contribs[:max(cutoff + 1, 0)]) if c)
-    route_b = sum(c for _, c in contributions)
+    values = _evaluate(classes, cutoff, contribution, lambda c, d: c and (
+        f"cutoff violation: torsion contribution {c} at degree {d} "
+        f"beyond {cutoff}"))
+    contributions = _spread(values)
+    route_b = sum(c * degrees.bit_count() for degrees, c in values)
     if route_a != route_b:
         raise OracleError(
             f"oracle inconsistency: torsion {route_a} by dimension count "
@@ -351,45 +391,46 @@ def relation_module_lengths(S: NumericalSemigroup,
     rows = _MaskedRanks.of(bpres.relations + rescaled, True)
     n_blown = len(bpres.relations)
     blown = (1 << n_blown) - 1
+    n_slots, n_rows = len(col_weights), len(rows.degrees)
+    slots, over = (1 << n_slots) - 1, (1 << n_rows) - 1
+    resc_degrees = rows.degrees[n_blown:]
+    # key fields from bit 0: the valid slots, the rows active over S1,
+    # then the rescaled rows active over S in degree d and in degree
+    # d - 2q, which times x^2 are the original module's rows in degree d
+    classes = _degree_classes(
+        [(S1, w) for w in col_weights + rows.degrees]
+        + [(S, w) for w in resc_degrees]
+        + [(S, w + 2 * q) for w in resc_degrees], cutoff + width)
+    resc_at = n_slots + n_rows
+    orig_at = resc_at + len(resc_degrees)
+    resc_bits = (1 << len(resc_degrees)) - 1
 
-    top = cutoff + width
-    slots = _present(col_weights, S1, top)
-    active = _present(rows.degrees, S1, top)
-    # resc[d]: the rescaled rows active over S in degree d; times x^2 they
-    # are the original module's rows active in degree d + 2q
-    resc = [m << n_blown for m in _present(rows.degrees[n_blown:], S, top)]
-    orig = ([0] * (2 * q) + resc)[:len(resc)]
-    keys = list(zip(slots, active, resc, orig))
-
-    def ranks(key):
-        valid, over_s1, resc_mask, orig_mask = key
+    def ranks(key, first):
+        valid = key & slots
+        over_s1 = key >> n_slots & over
         n1, lifted = over_s1 & blown, over_s1 & ~blown
-        r_orig = rows.rank(orig_mask, valid)
-        r_resc = rows.rank(resc_mask, valid)
+        r_orig = rows.rank(key >> orig_at << n_blown, valid)
+        r_resc = rows.rank((key >> resc_at & resc_bits) << n_blown, valid)
         r_lift = rows.rank(lifted, valid)
         r_n1 = rows.rank(n1, valid)
         r_joint = rows.rank(over_s1, valid)
         if r_joint != r_n1:
             raise OracleError(
                 f"containment violation: lifted rescaled module escapes the "
-                f"blowup relation module at degree {keys.index(key)} for {S}")
+                f"blowup relation module at degree {first} for {S}")
         return (r_n1 - r_resc, r_n1 - r_lift, r_lift - r_resc,
                 r_resc - r_orig, r_orig == valid.bit_count())
 
-    def audit(values):
-        for d in range(max(cutoff + 1, 0), len(values)):
-            if not values[d][4]:
-                raise OracleError(
-                    f"cutoff violation: relation modules not full at degree "
-                    f"{d} beyond {cutoff} for {S}")
-
-    values = _tabulate(keys, ranks, audit)[:max(cutoff + 1, 0)]
-    # the zero row keeps the four length columns when no degree is summed
-    # and drops the fullness column
-    totals = [sum(column) for column in zip((0, 0, 0, 0), *values)]
+    values = _evaluate(classes, cutoff, ranks, lambda v, d: not v[4] and (
+        f"cutoff violation: relation modules not full at degree {d} beyond "
+        f"{cutoff} for {S}"))
+    totals = [0, 0, 0, 0]
+    for degrees, lengths in values:
+        n = degrees.bit_count()
+        for i in range(4):
+            totals[i] += n * lengths[i]
     if totals[3] != 2 * n_vars * q:
         raise OracleError(
             f"rescaling length check failed: {totals[3]} != "
             f"{2 * n_vars * q} for {S}")
     return RelationModuleLengths(*totals)
-

@@ -29,12 +29,15 @@ class NumericalSemigroup:
 
     Membership is stored as a bitmap up to conductor + largest generator;
     everything from the conductor on is an implicit member.  The members
-    below the conductor are also kept as a sorted tuple.  Instances
-    compare and hash by their minimal generating set.
+    below the conductor are also kept as a sorted tuple, and all members
+    as one int (_members, bit v for member v, every bit from the
+    conductor on set, so the int is negative).  Instances compare and
+    hash by their minimal generating set; the hash is computed once.
     """
 
     __slots__ = ("min_generators", "gaps", "multiplicity", "embdim",
-                 "frobenius", "conductor", "genus", "_bitmap", "_below")
+                 "frobenius", "conductor", "genus", "_bitmap", "_below",
+                 "_members", "_hash")
 
     def __init__(self, min_generators: tuple[int, ...], gaps: tuple[int, ...],
                  conductor: int, bitmap: bytes):
@@ -47,6 +50,9 @@ class NumericalSemigroup:
         self.frobenius = gaps[-1] if gaps else -1
         self._bitmap = bitmap
         self._below = tuple(compress(range(conductor), bitmap))
+        self._members = int(bitmap[::-1].translate(_DIGITS), 2) \
+            | -(1 << conductor)
+        self._hash = hash(min_generators)
 
     def contains(self, value: int) -> bool:
         if value < 0:
@@ -65,10 +71,8 @@ class NumericalSemigroup:
 
     def members_mask(self, bound: int) -> int:
         """The members up to and including bound as one int: bit v is set
-        exactly when v is a member.  -(1 << conductor) sets every bit from
-        the conductor on."""
-        bits = int(self._bitmap[::-1].translate(_DIGITS), 2)
-        return (bits | -(1 << self.conductor)) & ((1 << max(bound + 1, 0)) - 1)
+        exactly when v is a member."""
+        return self._members & ((1 << max(bound + 1, 0)) - 1)
 
     @property
     def is_symmetric(self) -> bool:
@@ -81,7 +85,7 @@ class NumericalSemigroup:
         return self.min_generators == other.min_generators
 
     def __hash__(self) -> int:
-        return hash(self.min_generators)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"NumericalSemigroup{self.min_generators}"

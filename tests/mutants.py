@@ -50,6 +50,11 @@ T_IDEALS = "tests/test_ideals.py::"
 T_ORACLE = "tests/test_oracle.py::"
 T_VALUES = "tests/test_value_sets.py::test_value_sets_match_the_set_references"
 T_CLI = "tests/test_cli.py::"
+# the membership-test presentation against the factorization reference
+T_MINIMAL = (
+    T_PRES + "test_minimal_presentation_matches_the_factorization_reference",
+    T_PROPS + "test_minimal_presentation_of_any_weight_tuple")
+T_SPAN = T_PROPS + "test_span_values_of_any_semigroup_and_bound"
 
 MUTANTS = [
     # the generation check on k-bit masks of used positions
@@ -99,12 +104,47 @@ MUTANTS = [
            "'curvetorsion.presentation').presentation.presentation_of("
            'from_generators(r.generators))}, "',
            (T_CLI + "test_human_rendering_reads_only_the_record",)),
-    # the value sets on integer bitmasks
-    Mutant("span shifted by m", ORACLE,
-           "span |= ring << (m - 1)", "span |= ring << m", (T_VALUES,)),
+    # the minimal presentation from membership tests on G_d
+    Mutant("wrong neighbour set", PRES,
+           "new = _positions(weights, mask, d - weights[i]) & rest & ~comp",
+           "new = _positions(weights, mask, d) & rest & ~comp",
+           T_MINIMAL),
+    Mutant("skipped candidate degree", PRES,
+           """    split = used & ~hubs & ((1 << (top + 1)) - 1)
+""",
+           """    split = used & ~hubs & ((1 << (top + 1)) - 1)
+    split &= split - 1
+""",
+           T_MINIMAL),
+    Mutant("wrong greedy step", PRES,
+           "e += -1 if largest else 1",
+           "e += -1 if largest else 2",
+           T_MINIMAL),
+    Mutant("wrong doubling step", PRES,
+           "step <<= 1",
+           "step <<= 2",
+           T_MINIMAL),
+    Mutant("no reverse sort", PRES,
+           "for c in comps), reverse=reverse_tiebreak)",
+           "for c in comps))",
+           T_MINIMAL),
+    Mutant("hub test over later positions only", PRES,
+           "            if j != i:",
+           "            if j > i:",
+           T_MINIMAL),
+    Mutant("shifted hub mask", PRES,
+           "hub &= ~uses[j] | mask << (w + v)",
+           "hub &= ~uses[j] | mask << (w + v + 1)",
+           T_MINIMAL),
+    # the value sets on integer bitmasks, the span and the inverse driven
+    # by generators
+    Mutant("span shifted by g", ORACLE,
+           "span |= ring << (g - 1)", "span |= ring << g",
+           (T_VALUES, T_SPAN)),
     Mutant("span cut one bit high", ORACLE,
            "return span & ((1 << bound) - 1)",
-           "return span & ((1 << (bound + 1)) - 1)", (T_VALUES,)),
+           "return span & ((1 << (bound + 1)) - 1)",
+           (T_VALUES, T_SPAN)),
     Mutant("plain derivative values one bit short", ORACLE,
            "return S.members_mask(bound) >> 1",
            "return S.members_mask(bound - 1) >> 1", (T_VALUES,)),
@@ -113,13 +153,14 @@ MUTANTS = [
            "direct |= 1 << (window - u + 1)",
            (T_VALUES, T_IDEALS + "test_complementary_module_pinned")),
     Mutant("inverse shift off by one", IDEALS,
-           "if not (finite_part << (m + V.min_value) & gaps)]",
-           "if not (finite_part << (m + V.min_value + 1) & gaps)]",
-           (T_VALUES, T_IDEALS + "test_inverse_of_ring_is_ring")),
-    Mutant("gap mask one bit short", IDEALS,
-           "gaps = ((1 << cond) - 1) & ~S.members_mask(cond)",
-           "gaps = ((1 << (cond - 1)) - 1) & ~S.members_mask(cond)",
-           (T_VALUES,)),
+           "fits &= ring >> (lo + lo_v + low.bit_length() - 1)",
+           "fits &= ring >> (lo + lo_v + low.bit_length())",
+           (T_VALUES, T_IDEALS + "test_inverse_of_ring_is_ring",
+            T_PROPS + "test_inverse_of_any_stable_value_set")),
+    Mutant("inverse ring mask cut at the conductor", IDEALS,
+           "ring = S.members_mask(tail + V.tail_start)",
+           "ring = S.members_mask(cond)",
+           (T_VALUES, T_PROPS + "test_inverse_of_any_stable_value_set")),
     Mutant("stability mask too short", IDEALS,
            "present = vs.mask(lo, tail_start + gens[-1])",
            "present = vs.mask(lo, tail_start)",
@@ -134,58 +175,51 @@ MUTANTS = [
            "& ((1 << max(bound + 1, 0)) - 1)",
            "& ((1 << max(bound, 0)) - 1)",
            (T_VALUES, T_IDEALS + "test_differents_pinned")),
-    # the graded oracles, one evaluation per distinct degree key
+    # the graded oracles on degree classes, one evaluation per class
     Mutant("no audit before a propagating guard", ORACLE,
-           """        audit([table[k] for k in keys[:keys.index(key)]])
-        raise""",
-           "        raise",
+           """        if fault and fault[0] < first:
+            break
+        value = evaluate(key, first)""",
+           "        value = evaluate(key, first)",
            (T_ORACLE + "test_kernel_guard_fires_on_a_planted_row",)),
-    Mutant("kernel guard names its key's last degree", ORACLE,
+    Mutant("kernel guard names its class's last degree", ORACLE,
            """                f"relation rows exceed the evaluation kernel at degree "
-                f"{keys.index(key)}")""",
+                f"{first}")""",
            """                f"relation rows exceed the evaluation kernel at degree "
-                f"{len(keys) - 1 - keys[::-1].index(key)}")""",
+                f"{next(c.bit_length() - 1 for f, c, _ in classes if f == first)}")""",
            (T_ORACLE + "test_kernel_guard_fires_on_a_planted_row",)),
-    Mutant("containment guard names its key's last degree", ORACLE,
-           "blowup relation module at degree {keys.index(key)} for {S}",
+    Mutant("containment guard names its class's last degree", ORACLE,
+           "blowup relation module at degree {first} for {S}",
            "blowup relation module at degree "
-           "{len(keys) - 1 - keys[::-1].index(key)} for {S}",
+           "{next(c.bit_length() - 1 for f, c, _ in classes if f == first)} "
+           "for {S}",
            (T_ORACLE + "test_relation_module_guards_fire_on_planted_faults",)),
-    Mutant("zero audit unclamped", ORACLE,
-           """        for d in range(max(cutoff + 1, 0), len(values)):
-            if values[d]:""",
-           """        for d in range(cutoff + 1, len(values)):
-            if values[d]:""",
+    Mutant("audit unclamped", ORACLE,
+           "below = (1 << max(cutoff + 1, 0)) - 1",
+           "below = (1 << (cutoff + 1)) - 1",
            (T_ORACLE + "test_lowered_cutoffs_match_the_per_degree_references",)),
-    Mutant("zero audit one degree late", ORACLE,
-           """        for d in range(max(cutoff + 1, 0), len(values)):
-            if values[d]:""",
-           """        for d in range(max(cutoff + 2, 0), len(values)):
-            if values[d]:""",
-           (T_ORACLE + "test_lowered_cutoffs_match_the_per_degree_references",)),
-    Mutant("fullness audit unclamped", ORACLE,
-           """        for d in range(max(cutoff + 1, 0), len(values)):
-            if not values[d][4]:""",
-           """        for d in range(cutoff + 1, len(values)):
-            if not values[d][4]:""",
-           (T_ORACLE + "test_lowered_cutoffs_match_the_per_degree_references",)),
-    Mutant("fullness audit one degree late", ORACLE,
-           """        for d in range(max(cutoff + 1, 0), len(values)):
-            if not values[d][4]:""",
-           """        for d in range(max(cutoff + 2, 0), len(values)):
-            if not values[d][4]:""",
-           (T_ORACLE + "test_relation_module_guards_fire_on_planted_faults",)),
-    Mutant("slice fill one degree early", ORACLE,
-           "masks[tail:] = [(1 << len(items)) - 1] * (top + 1 - tail)",
-           "masks[tail - 1:] = [(1 << len(items)) - 1] * (top + 2 - tail)",
+    Mutant("audit one degree late", ORACLE,
+           "below = (1 << max(cutoff + 1, 0)) - 1",
+           "below = (1 << max(cutoff + 2, 0)) - 1",
+           (T_ORACLE + "test_lowered_cutoffs_match_the_per_degree_references",
+            T_ORACLE + "test_relation_module_guards_fire_on_planted_faults")),
+    Mutant("presence mask one degree short at the top", ORACLE,
+           "present = ring.members_mask(top - w) << w",
+           "present = ring.members_mask(top - w - 1) << w",
            (T_ORACLE + "test_degree_masks_match_the_naive_membership_test",)),
-    Mutant("middle fill one degree late", ORACLE,
-           "for d in range(c + w, stop):",
-           "for d in range(c + w + 1, stop):",
+    Mutant("cut-off part keeps the old key", ORACLE,
+           "keys.append(keys[k] | bits)",
+           "keys.append(keys[k])",
+           (T_ORACLE + "test_degree_masks_match_the_naive_membership_test",)),
+    Mutant("class wholly inside gains no bits", ORACLE,
+           """                if part == classes[k]:
+                    keys[k] |= bits""",
+           """                if part == classes[k]:
+                    pass""",
            (T_ORACLE + "test_degree_masks_match_the_naive_membership_test",)),
     Mutant("original rows one degree off", ORACLE,
-           "orig = ([0] * (2 * q) + resc)[:len(resc)]",
-           "orig = ([0] * (2 * q - 1) + resc)[:len(resc)]",
+           "[(S, w + 2 * q) for w in resc_degrees]",
+           "[(S, w + 2 * q - 1) for w in resc_degrees]",
            (T_ORACLE + "test_graded_oracles_match_the_per_degree_references",)),
 ]
 

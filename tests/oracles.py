@@ -4,8 +4,9 @@ Everything in this module is deliberately naive and shares no code with
 the package, so agreement between the two is evidence of correctness
 rather than a tautology.  The exceptions are the per-degree walks of the
 graded oracles, which take their inputs from the package and keep only
-the degree loops that the per-key evaluation replaced, the two check_
-drivers that compare the package with these references, and run_cli.
+the degree loops that the evaluation on degree classes replaced, the
+check_ functions that compare the package with these references, and
+run_cli.
 """
 
 from __future__ import annotations
@@ -494,8 +495,8 @@ def reference_present(items, ring, top: int) -> list[int]:
 # call per mask and degree.  They take their inputs (presentations,
 # cutoffs, the rank helper) from the package, looked up through the
 # oracle module at call time, so a test that plants a fault there plants
-# it in both; what they check is the per-key evaluation that replaced the
-# loops.
+# it in both; what they check is the evaluation on degree classes that
+# replaced the loops.
 
 def reference_relative_differential_dims(pres):
     from curvetorsion import oracle
@@ -645,6 +646,51 @@ def check_graded_oracles(curves) -> int:
             assert relation_module_lengths(S, tiebreak) == \
                 reference_relation_module_lengths(S, tiebreak), (S, tiebreak)
             compared += 4
+    return compared
+
+
+def check_value_sets(curves) -> int:
+    """Assert that the value-set layer equals the set references on every
+    curve: the derivative spans and their colengths, the trace dual, and
+    the inverses of the trace dual, of the Kaehler different and of the
+    ring, and the double inverse of the trace dual; returns the number of
+    curves compared."""
+    from curvetorsion import (blowup, colength_via_derivative_spans,
+                              complementary_module, exactness_defect,
+                              genus_via_derivative_spans, inverse,
+                              kaehler_different, presentation_of,
+                              value_set_of)
+    from curvetorsion.oracle import _derivative_values, _span_values
+
+    def bits(mask):
+        return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+    compared = 0
+    for S in curves:
+        gens, c = S.min_generators, S.conductor
+        S1 = blowup(S).transformed
+        span = reference_span_values(gens, 2 * c + 2)
+        plain = reference_derivative_values(gens, 2 * c + 2)
+        assert bits(_span_values(S, 2 * c + 2)) == span, S
+        assert bits(_derivative_values(S, 2 * c + 2)) == plain, S
+        assert exactness_defect(S) == len(span - plain), S
+        small = reference_span_values(gens, c + 1)
+        big = reference_span_values(S1.min_generators, c + 1)
+        assert genus_via_derivative_spans(S) == len(set(range(c + 1)) - small)
+        assert colength_via_derivative_spans(S, S1) == len(big - small), S
+
+        C = complementary_module(S)
+        ref_c = reference_complementary_module(gens)
+        assert (C.members, C.tail_start) == ref_c, S
+        for V in (C, kaehler_different(S, presentation_of(S)),
+                  value_set_of(S)):
+            W = inverse(V)
+            assert (W.members, W.tail_start) == \
+                reference_inverse(gens, (V.members, V.tail_start)), (S, V)
+        W = inverse(inverse(C))
+        assert (W.members, W.tail_start) == \
+            reference_inverse(gens, reference_inverse(gens, ref_c)), S
+        compared += 1
     return compared
 
 

@@ -14,7 +14,7 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
                           presentation_of, relation_module_lengths,
                           relative_differential_dims, torsion_length)
 from curvetorsion import oracle
-from curvetorsion.oracle import _MaskedRanks, _present
+from curvetorsion.oracle import _MaskedRanks, _degree_classes
 from oracles import (check_graded_oracles, large_conductor_generators,
                      naive_present, reference_present,
                      reference_relation_module_lengths,
@@ -393,17 +393,17 @@ def test_lowered_cutoffs_match_the_per_degree_references(monkeypatch, gens):
 
 
 def test_degree_masks_match_the_naive_membership_test(monkeypatch):
-    # record every (items, ring) the three oracles ask for, with the
-    # largest top asked, through genus 6 and on the large-conductor curves,
-    # under both tie-breaks, running them past their caches
+    # record every (items, top) the three oracles pass to _degree_classes,
+    # keeping the largest top asked, through genus 6 and on the
+    # large-conductor curves, under both tie-breaks, past their caches
     asked = {}
 
-    def recording(items, ring, top):
-        key = (tuple(items), ring)
+    def recording(items, top):
+        key = tuple(items)
         asked[key] = max(top, asked.get(key, top))
-        return _present(items, ring, top)
+        return _degree_classes(items, top)
 
-    monkeypatch.setattr(oracle, "_present", recording)
+    monkeypatch.setattr(oracle, "_degree_classes", recording)
     small = list(enumerate_by_genus(6))
     large = [from_generators(g) for g in large_conductor_generators()]
     for S in small + large:
@@ -414,30 +414,60 @@ def test_degree_masks_match_the_naive_membership_test(monkeypatch):
             torsion_length.__wrapped__(S, tiebreak)
             relation_module_lengths.__wrapped__(S, tiebreak)
         if S is small[-1]:
-            assert len(asked) == 309
-    # the relation-module rows come unsorted, with repeated degrees
-    assert any(list(items) != sorted(items) and len(set(items)) < len(items)
-               for items, _ in asked)
+            assert len(asked) == 186
+    # the relation-module rows come unsorted, with repeated degrees, over
+    # two rings in one call
+    assert any(len({ring for ring, _ in items}) == 2
+               and [w for _, w in items] != sorted(w for _, w in items)
+               and len(set(items)) < len(items) for items in asked)
     # more such items, and the ring <1>, whose conductor is 0, so every
     # item is in every degree from its own weight on
     rings = [from_generators(g) for g in [(1,), (2, 3), (4, 6, 7), (6, 9, 20)]]
-    for items in [(5, 3, 5, 0, 3), (7, 7), (0,), (2, 1), ()]:
+    for weights in [(5, 3, 5, 0, 3), (7, 7), (0,), (2, 1), ()]:
         for ring in rings:
-            asked.setdefault((items, ring), 40)
-    for (items, ring), top in asked.items():
+            asked.setdefault(tuple((ring, w) for w in weights), 40)
+    asked.setdefault(tuple((ring, w) for ring in rings for w in (3, 0, 3)), 40)
+    for items, top in asked.items():
         # the oracle's top, top 0 and -1, a top below the smallest item,
-        # tops below the conductor, and tops on both sides of c + min w
+        # tops below each conductor, and tops on both sides of c + min w
         # and c + max w, where the run of full masks starts
-        c = ring.conductor
-        tops = {top, 0, -1, min(items, default=0) - 1, c - 1, c}
-        for w in (min(items, default=0), max(items, default=0)):
-            tops |= {c + w - 1, c + w, c + w + 1}
+        ws = [w for _, w in items] or [0]
+        tops = {top, 0, -1, min(ws) - 1}
+        for c in {ring.conductor for ring, _ in items}:
+            tops |= {c - 1, c}
+            for w in (min(ws), max(ws)):
+                tops |= {c + w - 1, c + w, c + w + 1}
         tops = sorted(t for t in tops if t >= -1)
-        expected = naive_present(items, ring.min_generators, tops[-1])
+        # per ring, the naive masks of its items; combined, bit i of
+        # degree d for item i
+        where = {ring: [i for i, (r, _) in enumerate(items) if r == ring]
+                 for ring, _ in items}
+        weights = {ring: [items[i][1] for i in at]
+                   for ring, at in where.items()}
+        naive = {ring: naive_present(weights[ring], ring.min_generators,
+                                     tops[-1]) for ring in where}
+        expected = [0] * (tops[-1] + 1)
+        for ring, at in where.items():
+            for d, mask in enumerate(naive[ring]):
+                for j, i in enumerate(at):
+                    if mask >> j & 1:
+                        expected[d] |= 1 << i
         for t in tops:
-            assert _present(items, ring, t) == expected[:t + 1], \
-                (items, ring, t)
-            assert reference_present(items, ring, t) == expected[:t + 1]
+            # the classes come in order of first degree and are the
+            # degrees of each distinct naive key, so they partition 0..t
+            classes = _degree_classes(items, t)
+            assert [first for first, _, _ in classes] == sorted(
+                (degrees & -degrees).bit_length() - 1
+                for _, degrees, _ in classes)
+            want = {}
+            for d, key in enumerate(expected[:t + 1]):
+                want[key] = want.get(key, 0) | 1 << d
+            assert len(classes) == len(want), (items, t)
+            assert {key: degrees for _, degrees, key in classes} == want, \
+                (items, t)
+            for ring in where:
+                assert reference_present(weights[ring], ring, t) == \
+                    naive[ring][:t + 1]
 
 
 def test_derivative_escape_guard_fires_on_a_planted_value(monkeypatch):

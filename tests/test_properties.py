@@ -19,11 +19,12 @@ from curvetorsion import (GeneratorTuple, Presentation, apery_set, blowup,
                           inverse, make_value_set, minimal_presentation,
                           presentation_of, relations_generate, value_set_of)
 from curvetorsion.linalg import Echelon, integer_rank
-from curvetorsion.oracle import _MaskedRanks
+from curvetorsion.oracle import _MaskedRanks, _span_values
 from curvetorsion.presentation import _used_positions
 from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
                      fraction_rank, naive_members,
-                     reference_minimal_presentation, used_positions)
+                     reference_inverse, reference_minimal_presentation,
+                     reference_span_values, used_positions)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -224,3 +225,40 @@ def test_reverse_tiebreak_changes_nothing_downstream():
                 presentation_of(S).mu
             assert presentation_of(S, reverse_tiebreak=True).betti_degrees \
                 == presentation_of(S).betti_degrees
+
+
+# conductors of at most 132, so the set loops of the references stay fast
+small_generator_sets = st.lists(st.integers(min_value=2, max_value=12),
+                                min_size=2, max_size=4, unique=True)
+
+
+@st.composite
+def stable_value_sets(draw):
+    """A semigroup and a finite union of v + S over shifts v in [-c, c],
+    most of them shapes that no trace dual or different takes."""
+    S = from_generators(_normalize(draw(small_generator_sets)))
+    c = S.conductor
+    shifts = draw(st.lists(st.integers(min_value=-c, max_value=c),
+                           min_size=1, max_size=6))
+    lo, tail = min(shifts), min(shifts) + c
+    members = [v for v in range(lo, tail)
+               if any(S.contains(v - s) for s in shifts)]
+    return make_value_set(S, members, tail)
+
+
+@settings(deadline=None, max_examples=150)
+@given(stable_value_sets())
+def test_inverse_of_any_stable_value_set(V):
+    W = inverse(V)
+    assert (W.members, W.tail_start) == reference_inverse(
+        V.ambient.min_generators, (V.members, V.tail_start))
+
+
+@settings(deadline=None, max_examples=150)
+@given(small_generator_sets, st.integers(min_value=0, max_value=200))
+def test_span_values_of_any_semigroup_and_bound(gens, bound):
+    S = from_generators(_normalize(gens))
+    span = _span_values(S, bound)
+    assert {v for v in range(bound) if span >> v & 1} == \
+        reference_span_values(S.min_generators, bound)
+    assert span < 1 << bound
