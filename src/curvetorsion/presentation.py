@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
-from .semigroup import NumericalSemigroup, blowup, from_generators
+from .semigroup import NumericalSemigroup, _closure, blowup, from_generators
 
 
 class PresentationError(ValueError):
@@ -139,21 +139,17 @@ def _extreme_factorization(weights: tuple[int, ...], comp: int, d: int,
     with support inside the positions of comp.
 
     after[p] is the bitmask of the sums of the weights of comp past
-    position p, closed under repetition by shift doubling.  The vector is
+    position p, closed under repetition by _closure.  The vector is
     fixed coordinate by coordinate: each takes the least (or largest)
     exponent that leaves a remainder in after[p]; the last position
     takes what remains.
     """
-    full = (1 << (d + 1)) - 1
     pos = [i for i in range(len(weights)) if comp >> i & 1]
     after = {}
     reach = 1
     for p in reversed(pos):
         after[p] = reach
-        step = weights[p]
-        while step <= d:
-            reach |= (reach << step) & full
-            step <<= 1
+        reach = _closure(reach, weights[p], d)
     vec = [0] * len(weights)
     rem = d
     for p in pos[:-1]:

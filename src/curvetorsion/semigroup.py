@@ -5,69 +5,90 @@ integers.  It encodes a monomial curve branch: the ring spanned by the
 monomials t^a for a in the semigroup.  The quadratic transform (blowup)
 subtracts the multiplicity from every other minimal generator and inflicts
 a strictly larger semigroup until the whole of N is reached.
+
+Membership is stored once, as one int: bit v is set exactly when v is a
+member, and every bit from the conductor on is set, so the int is
+negative.  Everything else is read from it with shifts and masks
+(Rosales and Garcia-Sanchez, Numerical Semigroups, Springer 2009,
+chs. 1-2): the conductor is the bit length of its complement, the gaps
+are the set bits of that complement, a member is a minimal generator
+exactly when the closure of the smaller minimal generators misses it,
+and the Apery set of n holds the members s with s - n not a member.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 from math import gcd
 from typing import Iterable, Iterator
-
-
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # bitmap bytes as binary digits
 
 
 class SemigroupError(ValueError):
     """Raised for inputs that do not define a numerical semigroup."""
 
 
+def _closure(mask: int, w: int, top: int) -> int:
+    """A mask with no bit above top, closed under adding w up to top: bit
+    v is set when v - k*w is in mask for some k >= 0.  Shift doubling:
+    mask is ORed with itself shifted by w, 2w, 4w, ... up to top."""
+    full = (1 << (top + 1)) - 1
+    while w <= top:
+        mask |= (mask << w) & full
+        w <<= 1
+    return mask
+
+
+def _set_bits(mask: int) -> list[int]:
+    """Positions of the set bits of a nonnegative int, increasing."""
+    return [v for v, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"]
+
+
 class NumericalSemigroup:
     """Immutable numerical semigroup with precomputed invariants.
 
-    Membership is stored as a bitmap up to conductor + largest generator;
-    everything from the conductor on is an implicit member.  The members
-    below the conductor are also kept as a sorted tuple, and all members
-    as one int (_members, bit v for member v, every bit from the
-    conductor on set, so the int is negative).  Instances compare and
-    hash by their minimal generating set; the hash is computed once.
+    Built from its member int (_members: bit v for member v, every bit
+    from the conductor on set); the conductor, gaps and minimal
+    generators are derived from it once.  Instances compare and hash by
+    their minimal generating set; the hash is computed once.
     """
 
     __slots__ = ("min_generators", "gaps", "multiplicity", "embdim",
-                 "frobenius", "conductor", "genus", "_bitmap", "_below",
-                 "_members", "_hash")
+                 "frobenius", "conductor", "genus", "_members", "_hash")
 
-    def __init__(self, min_generators: tuple[int, ...], gaps: tuple[int, ...],
-                 conductor: int, bitmap: bytes):
-        self.min_generators = min_generators
-        self.gaps = gaps
+    def __init__(self, members: int):
+        conductor = (~members).bit_length()
+        nonzero = members & -2
+        q = (nonzero & -nonzero).bit_length() - 1
+        # any member from max(conductor + q, 2q) on is q plus a nonzero
+        # member; below, a member the smaller generators miss is minimal
+        top = max(conductor + q, 2 * q) - 1
+        free = nonzero & ((1 << (top + 1)) - 1)
+        reach = 1
+        gens = []
+        while free:
+            m = (free & -free).bit_length() - 1
+            gens.append(m)
+            reach = _closure(reach, m, top)
+            free &= ~reach
+        self._members = members
+        self.min_generators = tuple(gens)
+        self.gaps = tuple(_set_bits(~members))
         self.conductor = conductor
-        self.multiplicity = min_generators[0]
-        self.embdim = len(min_generators)
-        self.genus = len(gaps)
-        self.frobenius = gaps[-1] if gaps else -1
-        self._bitmap = bitmap
-        self._below = tuple(compress(range(conductor), bitmap))
-        self._members = int(bitmap[::-1].translate(_DIGITS), 2) \
-            | -(1 << conductor)
-        self._hash = hash(min_generators)
+        self.multiplicity = q
+        self.embdim = len(gens)
+        self.genus = len(self.gaps)
+        self.frobenius = conductor - 1
+        self._hash = hash(self.min_generators)
 
     def contains(self, value: int) -> bool:
-        if value < 0:
-            return False
-        if value >= self.conductor:
-            return True
-        return bool(self._bitmap[value])
+        return value >= 0 and bool(self._members >> value & 1)
 
     __contains__ = contains
 
     def members(self, bound: int) -> list[int]:
         """All members up to and including bound, in increasing order."""
-        below = self._below
-        return list(below[:bisect_right(below, bound)]) \
-            + list(range(self.conductor, bound + 1))
+        return _set_bits(self.members_mask(bound))
 
     def members_mask(self, bound: int) -> int:
         """The members up to and including bound as one int: bit v is set
@@ -94,48 +115,20 @@ class NumericalSemigroup:
         return "<" + ",".join(str(g) for g in self.min_generators) + ">"
 
 
-def _sieve(gens: tuple[int, ...]) -> tuple[bytearray, int]:
-    """Membership bitmap and conductor for the monoid generated by gens.
-
-    Grows the sieve until a run of multiplicity-many consecutive members
-    appears; from there on everything is a member.
-    """
-    q = gens[0]
-    bound = 2 * max(gens) + 2
-    while True:
-        member = bytearray(bound + 1)
-        member[0] = 1
-        for i in range(1, bound + 1):
-            for g in gens:
-                if g <= i and member[i - g]:
-                    member[i] = 1
-                    break
-        run = 0
-        for i in range(bound + 1):
-            run = run + 1 if member[i] else 0
-            if run == q:
-                return member, i - q + 1
-        bound *= 2
-
-
 @lru_cache(maxsize=None)
 def _build(values: tuple[int, ...]) -> NumericalSemigroup:
-    member, conductor = _sieve(values)
+    """The semigroup generated by values, sieved as the closure of 0
+    under each value.  The bound doubles until the top multiplicity-many
+    values are all members; from there on everything is a member."""
     q = values[0]
-    top = max(conductor + max(values), 2 * q)
-    if len(member) <= top:
-        member = member + bytearray(b"\x01" * (top + 1 - len(member)))
-    # a member is a minimal generator iff it is not a sum of two nonzero
-    # members; any member past max(conductor + q, 2q) - 1 decomposes
-    min_gens = []
-    for m in range(1, max(conductor + q, 2 * q)):
-        if not member[m]:
-            continue
-        if any(member[a] and member[m - a] for a in range(q, m - q + 1)):
-            continue
-        min_gens.append(m)
-    gaps = tuple(i for i in range(1, conductor) if not member[i])
-    return NumericalSemigroup(tuple(min_gens), gaps, conductor, bytes(member[:top + 1]))
+    bound = 2 * max(values) + 2
+    while True:
+        member = 1
+        for g in values:
+            member = _closure(member, g, bound)
+        if member >> (bound + 1 - q) == (1 << q) - 1:
+            return NumericalSemigroup(member | -(1 << (bound + 1)))
+        bound *= 2
 
 
 def from_generators(values: Iterable[int]) -> NumericalSemigroup:
@@ -162,12 +155,10 @@ def apery_set(S: NumericalSemigroup, modulus: int) -> list[int]:
     """
     if modulus < 1 or not S.contains(modulus):
         raise SemigroupError(f"apery modulus {modulus} is not a nonzero member")
-    out = []
-    for r in range(modulus):
-        k = r
-        while not S.contains(k):
-            k += modulus
-        out.append(k)
+    out = [0] * modulus
+    top = S.conductor + modulus - 1
+    for s in _set_bits(S.members_mask(top) & ~(S._members << modulus)):
+        out[s % modulus] = s
     return out
 
 
@@ -207,8 +198,9 @@ def colength(inner: NumericalSemigroup, outer: NumericalSemigroup) -> int:
 def enumerate_by_genus(max_genus: int) -> Iterator[NumericalSemigroup]:
     """All numerical semigroups of genus <= max_genus.
 
-    Tree walk: children of S remove one minimal generator exceeding the
-    Frobenius number.  Yields deterministically, ordered by (genus,
+    Tree walk: children of S remove one minimal generator m exceeding the
+    Frobenius number, that is, clear bit m of the parent's member int.
+    Yields deterministically, ordered by (genus,
     minimal generators lexicographically).
     """
     if max_genus < 0:
@@ -220,9 +212,7 @@ def enumerate_by_genus(max_genus: int) -> Iterator[NumericalSemigroup]:
         for S in level:
             for m in S.min_generators:
                 if m > S.frobenius:
-                    kept = [v for v in range(1, 2 * m + 3)
-                            if v != m and S.contains(v)]
-                    children.append(from_generators(kept))
+                    children.append(NumericalSemigroup(S._members & ~(1 << m)))
         children.sort(key=lambda T: T.min_generators)
         yield from children
         level = children

@@ -10,15 +10,19 @@ script copies src/ and tests/ to a temporary directory and first runs
 every named test there unmutated, which must pass.  Then, for each mutant,
 it replaces the mutant's old text, which must occur exactly once in its
 file, runs the mutant's tests and restores the file.  A mutant is killed
-when every one of its tests fails.  The exit status is 1 when an old text
-is missing or repeated or a mutant survives, so a change that rewrites a
-target must update its entry here.  Names restrict the run to those
-mutants.
+when every one of its tests fails.  Each pytest run is capped at 1 GiB
+of address space, so a mutant that sends a loop growing without end (a
+broken closure never lets the sieve settle) dies of MemoryError in its
+tests instead of exhausting the machine.  The exit status is 1 when an
+old text is missing or repeated or a mutant survives, so a change that
+rewrites a target must update its entry here.  Names restrict the run to
+those mutants.
 """
 
 from __future__ import annotations
 
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -45,6 +49,7 @@ SEMIGROUP = "src/curvetorsion/semigroup.py"
 CLI = "src/curvetorsion/cli.py"
 
 T_PRES = "tests/test_presentation.py::"
+T_SEMI = "tests/test_semigroup.py::"
 T_PROPS = "tests/test_properties.py::"
 T_IDEALS = "tests/test_ideals.py::"
 T_ORACLE = "tests/test_oracle.py::"
@@ -120,9 +125,9 @@ MUTANTS = [
            "e += -1 if largest else 1",
            "e += -1 if largest else 2",
            T_MINIMAL),
-    Mutant("wrong doubling step", PRES,
-           "step <<= 1",
-           "step <<= 2",
+    Mutant("wrong doubling step", SEMIGROUP,
+           "w <<= 1",
+           "w <<= 2",
            T_MINIMAL),
     Mutant("no reverse sort", PRES,
            "for c in comps), reverse=reverse_tiebreak)",
@@ -171,6 +176,39 @@ MUTANTS = [
            "return (outer_vals & ~inner_vals).bit_count() + 1",
            (T_IDEALS + "test_quotient_length_pinned",
             T_IDEALS + "test_trace_dual_colength_identity")),
+    # membership as one int: the sieve, the generator walk, the Apery
+    # mask and the enumeration's children
+    Mutant("sieve trusts its first bound", SEMIGROUP,
+           "if member >> (bound + 1 - q) == (1 << q) - 1:",
+           "if True:",
+           (T_SEMI + "test_pinned_invariants",
+            T_SEMI + "test_membership_matches_brute_force")),
+    Mutant("generator walk stops at c + q", SEMIGROUP,
+           "top = max(conductor + q, 2 * q) - 1",
+           "top = conductor + q - 1",
+           (T_SEMI + "test_minimalization_drops_redundant_generators",
+            "tests/test_acceptance.py::test_criterion_1_worked_singletons")),
+    Mutant("generator walk forgets earlier generators", SEMIGROUP,
+           "reach = _closure(reach, m, top)",
+           "reach = _closure(1, m, top)",
+           (T_SEMI + "test_pinned_invariants",
+            T_PROPS + "test_membership_matches_naive_closure")),
+    Mutant("gaps read from unreversed digits", SEMIGROUP,
+           "enumerate(bin(mask)[:1:-1])",
+           "enumerate(bin(mask)[2:])",
+           (T_SEMI + "test_pinned_invariants",
+            T_PROPS + "test_membership_matches_naive_closure")),
+    Mutant("Apery mask shifted by one", SEMIGROUP,
+           "~(S._members << modulus)",
+           "~(S._members << (modulus + 1))",
+           (T_SEMI + "test_apery_sets", T_SEMI + "test_apery_set_properties",
+            T_PROPS + "test_apery_identities",
+            T_IDEALS + "test_complementary_module_pinned")),
+    Mutant("child removes m + 1 instead of m", SEMIGROUP,
+           "S._members & ~(1 << m)",
+           "S._members & ~(1 << (m + 1))",
+           (T_SEMI + "test_enumeration_counts",
+            T_SEMI + "test_enumerated_children_match_the_sieve")),
     Mutant("members_mask drops the bound", SEMIGROUP,
            "& ((1 << max(bound + 1, 0)) - 1)",
            "& ((1 << max(bound, 0)) - 1)",
@@ -224,13 +262,21 @@ MUTANTS = [
 ]
 
 
+MEMORY_CAP = 1 << 30  # bytes of address space per pytest run
+
+
+def _cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
 def _pytest(where: Path, tests) -> tuple[int, set[str], str]:
     """Exit code, failed node ids and output of pytest on the tests."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no",
          "-p", "no:cacheprovider", *tests],
-        cwd=where, env=env, capture_output=True, text=True)
+        cwd=where, env=env, capture_output=True, text=True,
+        preexec_fn=_cap_memory)
     failed = {line.split()[1] for line in proc.stdout.splitlines()
               if line.startswith(("FAILED ", "ERROR "))}
     return proc.returncode, failed, proc.stdout + proc.stderr

@@ -22,7 +22,7 @@ from curvetorsion.linalg import Echelon, integer_rank
 from curvetorsion.oracle import _MaskedRanks, _span_values
 from curvetorsion.presentation import _used_positions
 from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
-                     fraction_rank, naive_members,
+                     fraction_rank, naive_conductor, naive_members,
                      reference_inverse, reference_minimal_presentation,
                      reference_span_values, used_positions)
 
@@ -133,10 +133,17 @@ def test_echelon_extends_exactly_when_the_rank_grows(rows):
 def test_membership_matches_naive_closure(gens):
     gens = _normalize(gens)
     S = from_generators(gens)
-    bound = S.conductor + max(gens)
+    conductor = naive_conductor(gens)
+    bound = conductor + max(gens)
     expected = naive_members(gens, bound)
     assert set(S.members(bound)) == expected
-    assert set(S.min_generators) <= expected
+    # minimal: a nonzero member that is no sum of two nonzero members
+    assert S.min_generators == tuple(
+        m for m in sorted(expected)
+        if m and not any(a in expected and m - a in expected
+                         for a in range(1, m)))
+    assert S.conductor == conductor
+    assert S.gaps == tuple(v for v in range(conductor) if v not in expected)
 
 
 @settings(deadline=None, max_examples=60)

@@ -18,6 +18,8 @@ INVARIANTS = {
     (3, 5, 7): ((1, 2, 4), 4, 5, 3, 3, False),
     (5, 7, 9, 11, 13): ((1, 2, 3, 4, 6, 8), 8, 9, 5, 5, False),
     (2, 9): ((1, 3, 5, 7), 7, 8, 2, 2, True),
+    # Frobenius past 2 * 7 + 2, the sieve's first bound
+    (5, 7): ((1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23), 23, 24, 5, 2, True),
 }
 
 GENUS_COUNTS = (1, 1, 2, 4, 7, 12, 23, 39, 67)
@@ -201,6 +203,17 @@ def test_enumeration_order_is_deterministic():
     assert first[:8] == [(1,), (2, 3), (2, 5), (3, 4, 5), (2, 7), (3, 4),
                          (3, 5, 7), (4, 5, 6, 7)]
     assert len(set(first)) == len(first)
+
+
+def test_enumerated_children_match_the_sieve():
+    # children are cut from the parent's member int, not sieved
+    for S in enumerate_by_genus(10):
+        T = from_generators(S.min_generators)
+        top = S.conductor + S.min_generators[-1]
+        assert T.min_generators == S.min_generators
+        assert T.gaps == S.gaps
+        assert T.conductor == S.conductor
+        assert T.members_mask(top) == S.members_mask(top)
 
 
 def test_enumeration_rejects_negative_bound():
