@@ -13,18 +13,20 @@ the ring's members shifted down by each generator, not one test per
 candidate value.
 
 The Kaehler different is the ideal of the maximal minors of the
-derivative matrix.  A greedy basis gives its least value, which is all
-the oracles' cutoffs read (least_minor_degree); kaehler_different finds
-the other generators by a search over row subsets that skips every
-subtree whose minors already lie in the ideal found so far.
+derivative matrix J; the greedy basis's total gives its least value, all
+the oracles' cutoffs read (least_minor_degree).  By Cauchy-Binet the K-bit
+digits of det(J^T diag(2^(K d_i)) J) are the sums of det(J_B)^2 over the
+row subsets B of each total, K from Hadamard's bound; kaehler_different
+reads the others off them and checks the lowest against the greedy total.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb, prod
 
-from .linalg import Echelon
+from .linalg import Echelon, integer_determinant
 from .presentation import Presentation
 from .semigroup import NumericalSemigroup, apery_set
 
@@ -217,52 +219,33 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     and the different is the whole ring.
 
     A minor's value is its row total (see _greedy_basis) minus the
-    column sum.  Every total one conductor past the greedy basis's lies
-    in its tail, so a depth-first search over row subsets below that
-    limit finds the other generators.  covered is the ideal found so far,
-    over row totals: each leaf ORs in S shifted by its total.  Each node
-    extends a persistent Echelon of the rows chosen by one row, so
-    backtracking costs nothing.  A level stops once even its lightest
-    completion reaches the limit, and a row is skipped when every total
-    its subtree can reach, reach[i + 1][need - 1] << (t + d_i) with
-    reach[i][k] the sums of k degrees of rows[i:], is already covered.
-    The skip is a `continue`, not a `break`: a later row has another
-    degree, hence another shift, and may still reach an uncovered total.
+    column sum; totals one conductor past the greedy one lie in the tail.
+    With rows (d_i, v_i), n columns, least degree lo and z = 2^K,
+    det(sum_i v_i v_i^T z^(d_i - lo)) = sum_B det(J_B)^2 z^(w(B) - n lo)
+    over n-row subsets B of row total w(B) (Cauchy-Binet).  K is the bit
+    length of comb(rows, n) times the n largest squared row norms, which
+    bounds each sum of squares (Hadamard); none cancels, so total t has a
+    nonvanishing minor exactly when digit t - n lo is nonzero.  Self-check:
+    the lowest nonzero digit is the greedy total's (zero's reads as -1).
     """
     if S.embdim == 1:
         return value_set_of(S)
     if pres.gen_tuple.weights != S.min_generators or not pres.gen_tuple.has_x:
         raise IdealError("presentation does not match the curve")
     rows, base_sum = _greedy_basis(pres)
-    degrees = [d for d, _ in rows]
-    n_vars, n_rows = S.embdim - 1, len(rows)
+    n, lo = S.embdim - 1, rows[0][0]
     limit = base_sum + S.conductor
-    window = (1 << limit) - 1
-    reach = [[0] * (n_vars + 1) for _ in range(n_rows + 1)]
-    reach[n_rows][0] = 1
-    for i in range(n_rows - 1, -1, -1):
-        here, after = reach[i], reach[i + 1]
-        here[0] = 1
-        for k in range(1, n_vars + 1):
-            here[k] = (after[k] | after[k - 1] << degrees[i]) & window
-    covered = S.members_mask(limit - 1 - base_sum) << base_sum
-
-    def search(start: int, chosen: Echelon, total: int, need: int) -> None:
-        nonlocal covered
-        if need == 0:
-            covered |= S.members_mask(limit - 1 - total) << total
-            return
-        for i in range(start, n_rows - need + 1):
-            d = degrees[i]
-            if total + d + sum(degrees[i + 1:i + need]) >= limit:
-                break
-            if not (reach[i + 1][need - 1] << (total + d)) & window & ~covered:
-                continue
-            grown = chosen.extend(rows[i][1])
-            if grown is not None:
-                search(i + 1, grown, total + d, need - 1)
-
-    search(0, Echelon(), 0, n_vars)
+    norms = sorted(sum(x * x for x in vec) for _, vec in rows)
+    K = (comb(len(rows), n) * prod(norms[-n:])).bit_length()
+    det = integer_determinant(
+        [[sum(v[a] * v[b] << K * (d - lo) for d, v in rows) for b in range(n)]
+         for a in range(n)])
+    if ((det & -det).bit_length() - 1) // K != base_sum - n * lo:
+        raise IdealError(f"Kaehler different self-check failed at {base_sum}")
+    digit, covered = (1 << K) - 1, 0
+    for t in range(base_sum, limit):
+        if det >> K * (t - n * lo) & digit:
+            covered |= S.members_mask(limit - 1 - t) << t
     col_sum = sum(S.min_generators[1:])
     values = [t - col_sum for t in range(base_sum, limit) if covered >> t & 1]
     return make_value_set(S, values, limit - col_sum)

@@ -17,9 +17,7 @@ class Echelon:
     Each stored row is primitive (its entries have gcd 1) and is zero in
     the pivot column of every row stored before it, so a candidate row is
     reduced against all of them in one pass and is independent exactly
-    when something survives.  The form is persistent: extend and absorb
-    return a new Echelon and leave this one as it was, so a depth-first
-    search backtracks by dropping a reference.
+    when something survives.  absorb returns a new Echelon.
     """
 
     __slots__ = ("rows",)
@@ -30,11 +28,6 @@ class Echelon:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def extend(self, vec: Sequence[int]) -> Echelon | None:
-        """The echelon with vec added, or None when vec is dependent."""
-        grown = self.absorb((vec,))
-        return grown if grown.rank > self.rank else None
 
     def absorb(self, vecs: Iterable[Sequence[int]]) -> Echelon:
         """The echelon of these rows and vecs; it stops reading vecs once
@@ -65,3 +58,23 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
     if len(rows) > len(rows[0]):  # fewer, longer vectors: faster
         rows = list(zip(*rows))
     return Echelon().absorb(rows).rank
+
+
+def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination: step
+    k leaves (k + 2)-minors of the input below and right of its pivot, so
+    each division by the previous pivot is exact."""
+    m = [list(row) for row in matrix]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        swap = next((i for i in range(k, n) if m[i][k]), None)
+        if swap is None:
+            return 0
+        if swap > k:
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        lead = m[k]
+        for row in m[k + 1:]:
+            row[k + 1:] = [(lead[k] * a - row[k] * b) // prev
+                           for a, b in zip(row[k + 1:], lead[k + 1:])]
+        prev = lead[k]
+    return sign * m[-1][-1] if n else 1

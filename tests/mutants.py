@@ -47,11 +47,13 @@ IDEALS = "src/curvetorsion/ideals.py"
 ORACLE = "src/curvetorsion/oracle.py"
 SEMIGROUP = "src/curvetorsion/semigroup.py"
 CLI = "src/curvetorsion/cli.py"
+LINALG = "src/curvetorsion/linalg.py"
 
 T_PRES = "tests/test_presentation.py::"
 T_SEMI = "tests/test_semigroup.py::"
 T_PROPS = "tests/test_properties.py::"
 T_IDEALS = "tests/test_ideals.py::"
+T_LINALG = "tests/test_linalg.py::"
 T_ORACLE = "tests/test_oracle.py::"
 T_VALUES = "tests/test_value_sets.py::test_value_sets_match_the_set_references"
 T_CLI = "tests/test_cli.py::"
@@ -82,25 +84,52 @@ MUTANTS = [
            "_merge(comps, low | used[d - weights[low.bit_length() - 1]])",
            "_merge(comps, used[d - weights[low.bit_length() - 1]])",
            (T_PRES + "test_generation_check_matches_the_tuple_reference",)),
-    # the Kaehler different's search, pruned against the covered ideal
-    Mutant("reach prune breaks instead of continuing", IDEALS,
-           """                continue
-            grown = chosen.extend(rows[i][1])""",
-           """                break
-            grown = chosen.extend(rows[i][1])""",
+    # the Kaehler different read off one Cauchy-Binet determinant
+    Mutant("read-out stops at the first zero digit", IDEALS,
+           """            covered |= S.members_mask(limit - 1 - t) << t
+""",
+           """            covered |= S.members_mask(limit - 1 - t) << t
+        else:
+            break
+""",
            (T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus",)),
-    Mutant("leaf does not cover its total", IDEALS,
-           """            covered |= S.members_mask(limit - 1 - total) << total
-            return""",
-           "            return",
+    Mutant("nonzero digit does not cover its total", IDEALS,
+           "            covered |= S.members_mask(limit - 1 - t) << t",
+           "            pass",
            (T_IDEALS + "test_differents_pinned",
             T_IDEALS + "test_fitting_degrees_match_exhaustive_minor_search",
             T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus")),
     Mutant("Kaehler shift off by one", IDEALS,
-           "covered |= S.members_mask(limit - 1 - total) << total",
-           "covered |= S.members_mask(limit - 1 - total) << (total + 1)",
+           "covered |= S.members_mask(limit - 1 - t) << t",
+           "covered |= S.members_mask(limit - 1 - t) << (t + 1)",
            (T_IDEALS + "test_fitting_degrees_match_exhaustive_minor_search",
             T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus")),
+    Mutant("digit width one bit too narrow", IDEALS,
+           "K = (comb(len(rows), n) * prod(norms[-n:])).bit_length()",
+           "K = (comb(len(rows), n) * prod(norms[-n:])).bit_length() - 1",
+           (T_IDEALS + "test_differents_pinned",
+            T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus")),
+    Mutant("read-out offset off by one", IDEALS,
+           "if det >> K * (t - n * lo) & digit:",
+           "if det >> K * (t - n * lo + 1) & digit:",
+           (T_IDEALS + "test_differents_pinned",
+            T_IDEALS + "test_fitting_degrees_match_exhaustive_minor_search",
+            T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus")),
+    Mutant("lowest-digit self-check disabled", IDEALS,
+           "if ((det & -det).bit_length() - 1) // K != base_sum - n * lo:",
+           "if False:",
+           (T_IDEALS + "test_kaehler_self_check_fires_on_a_planted_greedy_total",)),
+    Mutant("Bareiss divides by the current pivot", LINALG,
+           "row[k + 1:] = [(lead[k] * a - row[k] * b) // prev",
+           "row[k + 1:] = [(lead[k] * a - row[k] * b) // lead[k]",
+           (T_LINALG + "test_determinant_matches_fraction_elimination",
+            T_PROPS + "test_determinant_agrees_with_fraction_elimination",
+            T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus")),
+    Mutant("Bareiss skips the row swap", LINALG,
+           "m[k], m[swap], sign = m[swap], m[k], -sign",
+           "sign = -sign",
+           (T_LINALG + "test_determinant_matches_fraction_elimination",
+            T_PROPS + "test_determinant_agrees_with_fraction_elimination")),
     Mutant("render recomputes the Kaehler different", CLI,
            'yield (f"  derivative different {r.kaehler_different}, "',
            'yield (f"  derivative different {__import__('

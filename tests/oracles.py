@@ -5,8 +5,9 @@ the package, so agreement between the two is evidence of correctness
 rather than a tautology.  The exceptions are the per-degree walks of the
 graded oracles, which take their inputs from the package and keep only
 the degree loops that the evaluation on degree classes replaced, the
-check_ functions that compare the package with these references, and
-run_cli.
+pruned minor search that the Kaehler different's determinant replaced,
+which grows the package's Echelon one row at a time, the check_
+functions that compare the package with these references, and run_cli.
 """
 
 from __future__ import annotations
@@ -473,6 +474,85 @@ def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:
     search(0, [], 0, n_vars)
     found.add(least)
     return tuple(sorted(found))
+
+
+def echelon_extend(echelon, vec):
+    """The Echelon with vec added, or None when vec is dependent; the
+    Echelon is persistent, so a search backtracks by dropping one."""
+    grown = echelon.absorb((vec,))
+    return grown if grown.rank > echelon.rank else None
+
+
+def search_kaehler_different(S, pres):
+    """The Kaehler different by the package's former pruned minor search.
+
+    A depth-first search over row subsets whose totals lie below limit,
+    the greedy total plus the conductor; every total from there on lies
+    in the tail.  covered is the ideal found so far, over row totals:
+    each leaf ORs in S shifted by its total.  Each node extends an
+    Echelon of the rows chosen by one row.  A level stops once even its
+    lightest completion reaches the limit, and a row is skipped when
+    every total its subtree can reach, reach[i + 1][need - 1] <<
+    (t + d_i) with reach[i][k] the sums of k degrees of rows[i:], is
+    already covered.  The skip is a `continue`, not a `break`: a later
+    row has another degree, hence another shift, and may still reach an
+    uncovered total.  Its cost is exponential in the embedding dimension.
+    """
+    from curvetorsion import make_value_set, value_set_of
+    from curvetorsion.ideals import _greedy_basis
+    from curvetorsion.linalg import Echelon
+
+    if S.embdim == 1:
+        return value_set_of(S)
+    rows, base_sum = _greedy_basis(pres)
+    degrees = [d for d, _ in rows]
+    n_vars, n_rows = S.embdim - 1, len(rows)
+    limit = base_sum + S.conductor
+    window = (1 << limit) - 1
+    reach = [[0] * (n_vars + 1) for _ in range(n_rows + 1)]
+    reach[n_rows][0] = 1
+    for i in range(n_rows - 1, -1, -1):
+        here, after = reach[i], reach[i + 1]
+        here[0] = 1
+        for k in range(1, n_vars + 1):
+            here[k] = (after[k] | after[k - 1] << degrees[i]) & window
+    covered = S.members_mask(limit - 1 - base_sum) << base_sum
+
+    def search(start: int, chosen, total: int, need: int) -> None:
+        nonlocal covered
+        if need == 0:
+            covered |= S.members_mask(limit - 1 - total) << total
+            return
+        for i in range(start, n_rows - need + 1):
+            d = degrees[i]
+            if total + d + sum(degrees[i + 1:i + need]) >= limit:
+                break
+            if not (reach[i + 1][need - 1] << (total + d)) & window & ~covered:
+                continue
+            grown = echelon_extend(chosen, rows[i][1])
+            if grown is not None:
+                search(i + 1, grown, total + d, need - 1)
+
+    search(0, Echelon(), 0, n_vars)
+    col_sum = sum(S.min_generators[1:])
+    values = [t - col_sum for t in range(base_sum, limit) if covered >> t & 1]
+    return make_value_set(S, values, limit - col_sum)
+
+
+def check_kaehler_different(curves, tiebreaks=(False, True)) -> int:
+    """Assert that kaehler_different equals search_kaehler_different on
+    the minimal presentation of every curve under each tie-break; returns
+    the number of (curve, tie-break) pairs compared."""
+    from curvetorsion import kaehler_different, presentation_of
+
+    compared = 0
+    for S in curves:
+        for tiebreak in tiebreaks:
+            pres = presentation_of(S, tiebreak)
+            assert kaehler_different(S, pres) == \
+                search_kaehler_different(S, pres), (S, tiebreak)
+            compared += 1
+    return compared
 
 
 def reference_present(items, ring, top: int) -> list[int]:

@@ -13,7 +13,8 @@ from curvetorsion import (IdealError, Presentation, ValueSet,
                           presentation_of, quotient_length, value_set_of)
 from curvetorsion import ideals
 from oracles import (brute_force_minor_degrees, naive_conductor,
-                     naive_members, reference_fitting_minor_degrees)
+                     naive_members, reference_fitting_minor_degrees,
+                     search_kaehler_different)
 
 
 def vs(gens, members, tail):
@@ -162,8 +163,8 @@ def _corpus_presentations(max_genus):
 
 def test_fitting_degrees_match_reference_search_on_the_corpus():
     # the greedy least degree, and on the minimal presentations the ideal
-    # of the incremental, cover-pruned search, against the original
-    # search re-ranking every node over Fraction
+    # the determinant reads off, against the original search re-ranking
+    # every node over Fraction and against the cover-pruned search
     presentations = _corpus_presentations(6)
     assert len(presentations) == 145
     minimal = 0
@@ -174,6 +175,8 @@ def test_fitting_degrees_match_reference_search_on_the_corpus():
         if pres.gen_tuple.weights == gens:
             S = from_generators(gens)
             _assert_ideal_of_degrees(S, kaehler_different(S, pres), reference)
+            assert kaehler_different(S, pres) == \
+                search_kaehler_different(S, pres), (gens, pres.gen_tuple)
             minimal += 1
     assert minimal == 72
 
@@ -295,3 +298,27 @@ def test_complementary_module_self_check_fires_on_a_planted_apery_entry(
     with pytest.raises(IdealError,
                        match=r"^complementary module self-check failed at -13$"):
         complementary_module(from_generators((4, 6, 7)))
+
+
+def test_kaehler_self_check_fires_on_a_planted_greedy_total(monkeypatch):
+    # <4,6,7> has rows of degrees 12 and 14 and greedy total 26.  A greedy
+    # total one higher leaves the least digit below it, and a zero
+    # determinant has no lowest digit; only the self-check sees either.
+    S = from_generators((4, 6, 7))
+    pres = presentation_of(S)
+    real = ideals._greedy_basis
+
+    def planted(pres):
+        rows, total = real(pres)
+        return rows, total + 1
+
+    monkeypatch.setattr(ideals, "_greedy_basis", planted)
+    kaehler_different.cache_clear()  # an earlier test may have filled it
+    with pytest.raises(IdealError,
+                       match=r"^Kaehler different self-check failed at 27$"):
+        kaehler_different(S, pres)
+    monkeypatch.setattr(ideals, "_greedy_basis", real)
+    monkeypatch.setattr(ideals, "integer_determinant", lambda matrix: 0)
+    with pytest.raises(IdealError,
+                       match=r"^Kaehler different self-check failed at 26$"):
+        kaehler_different(S, pres)

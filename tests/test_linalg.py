@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from curvetorsion.linalg import Echelon, integer_rank
-from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
-                     fraction_rank)
+from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
+from oracles import (bareiss_determinant, bareiss_rank, echelon_extend,
+                     fraction_determinant, fraction_rank)
 
 MATRICES = [
     [],
@@ -60,10 +60,12 @@ SQUARE = [
 @pytest.mark.parametrize("matrix", SQUARE)
 def test_determinant_matches_fraction_elimination(matrix):
     assert bareiss_determinant(matrix) == fraction_determinant(matrix)
+    assert integer_determinant(matrix) == fraction_determinant(matrix)
 
 
 def test_pinned_determinants():
     assert bareiss_determinant([]) == 1
+    assert integer_determinant([]) == 1
     assert bareiss_determinant([[7]]) == 7
     assert bareiss_determinant([[1, 2], [3, 4]]) == -2
     assert bareiss_determinant([[2, 4], [1, 2]]) == 0
@@ -106,7 +108,7 @@ def test_zero_rows_add_no_rank():
     assert integer_rank([[0, 0, 0], [0, 0, 0]]) == 0
     assert integer_rank([[0, 0], [3, 4], [0, 0], [6, 8]]) == 1
     assert Echelon().absorb([[0, 0, 0]]).rank == 0
-    assert Echelon().extend([0, 0]) is None
+    assert echelon_extend(Echelon(), [0, 0]) is None
 
 
 def test_absorb_continues_an_echelon_without_changing_it():

@@ -18,13 +18,14 @@ from curvetorsion import (GeneratorTuple, Presentation, apery_set, blowup,
                           enumerate_by_genus, from_generators, full_report,
                           inverse, make_value_set, minimal_presentation,
                           presentation_of, relations_generate, value_set_of)
-from curvetorsion.linalg import Echelon, integer_rank
+from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
 from curvetorsion.oracle import _MaskedRanks, _span_values
 from curvetorsion.presentation import _used_positions
-from oracles import (bareiss_determinant, bareiss_rank, fraction_determinant,
-                     fraction_rank, naive_conductor, naive_members,
-                     reference_inverse, reference_minimal_presentation,
-                     reference_span_values, used_positions)
+from oracles import (bareiss_determinant, bareiss_rank, echelon_extend,
+                     fraction_determinant, fraction_rank, naive_conductor,
+                     naive_members, reference_inverse,
+                     reference_minimal_presentation, reference_span_values,
+                     used_positions)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -106,6 +107,7 @@ def test_slot_rank_is_the_rank_of_the_restricted_matrix(matrix, valid, mask):
 @given(square_matrices)
 def test_determinant_agrees_with_fraction_elimination(matrix):
     assert bareiss_determinant(matrix) == fraction_determinant(matrix)
+    assert integer_determinant(matrix) == fraction_determinant(matrix)
 
 
 @given(square_matrices)
@@ -119,7 +121,7 @@ def test_echelon_extends_exactly_when_the_rank_grows(rows):
     echelon = Echelon()
     for i, row in enumerate(rows):
         before = echelon.rows
-        grown = echelon.extend(row)
+        grown = echelon_extend(echelon, row)
         assert echelon.rows == before  # persistent: extend copies
         grows = fraction_rank(rows[:i + 1]) > fraction_rank(rows[:i])
         assert (grown is not None) == grows
