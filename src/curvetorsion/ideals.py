@@ -182,17 +182,16 @@ def _greedy_basis(pres: Presentation) -> tuple[list, int]:
     """The derivative matrix's (degree, coefficients) rows sorted by
     degree, and the degree total of the greedy basis.
 
-    The matrix has one row per relation and one column per
-    non-distinguished variable; entry (r, i) is the integer exponent
-    difference times a power of the uniformizer, so a maximal minor is an
-    integer determinant times the uniformizer to the power sum(chosen
-    relation degrees) - sum(variable weights).  It is nonzero exactly
-    when its rows are independent, and independent subsets form a
-    matroid, so the greedy basis has the least total.
+    The matrix is Presentation.derivatives from index 1 on: one row per
+    relation and one column per non-distinguished variable; entry (r, i)
+    is the integer exponent difference times a power of the uniformizer,
+    so a maximal minor is an integer determinant times the uniformizer to
+    the power sum(chosen relation degrees) - sum(variable weights).  It is
+    nonzero exactly when its rows are independent, and independent
+    subsets form a matroid, so the greedy basis has the least total.
     """
-    skip = pres.gen_tuple.has_x
-    rows = sorted((rel.degree, rel.coefficients(skip_first=skip))
-                  for rel in pres.relations)
+    rows = sorted(zip(pres.betti_degrees,
+                      (vec[1:] for vec in pres.derivatives)))
     basis, total = Echelon(), 0
     for d, vec in rows:  # absorb stops taking rows once the rank is full
         grown = basis.absorb((vec,))
@@ -230,7 +229,7 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     """
     if S.embdim == 1:
         return value_set_of(S)
-    if pres.gen_tuple.weights != S.min_generators or not pres.gen_tuple.has_x:
+    if pres.gen_tuple.weights != S.min_generators:
         raise IdealError("presentation does not match the curve")
     rows, base_sum = _greedy_basis(pres)
     n, lo = S.embdim - 1, rows[0][0]

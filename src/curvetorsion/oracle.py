@@ -4,7 +4,10 @@ Everything here is graded and computed from integer matrices.  In
 each degree the ambient free module has one slot per variable whose shift
 lands in the coefficient semigroup, and a relation contributes one row:
 the unique monomial multiple of its derivative vector in that degree.
-Dimensions are slot counts minus exact integer ranks.
+Every row is read off Presentation.derivatives, with the distinguished
+column (torsion route b) or from index 1 on (the others), and its degree
+off Presentation.betti_degrees.  Dimensions are slot counts minus exact
+integer ranks.
 
 A row's coefficients do not depend on the degree it is placed in, and
 every coefficient in a slot that is invalid in that degree is zero (the
@@ -37,8 +40,8 @@ from functools import lru_cache
 from .errors import OracleError
 from .ideals import least_minor_degree
 from .linalg import integer_rank
-from .presentation import (GeneratorTuple, Presentation, blowup_presentation,
-                           presentation_of, rescaled_relation_generators)
+from .presentation import (Presentation, blowup_presentation, presentation_of,
+                           rescaled_relation_generators)
 from .semigroup import NumericalSemigroup, blowup, from_generators
 
 
@@ -172,28 +175,22 @@ def _spread(values) -> tuple[tuple[int, int], ...]:
 class _MaskedRanks:
     """Restricted ranks of the subsets of one list of rows, by row bitmask.
 
-    The oracles call it once per degree class, not once per degree.  Each
-    rank is memoized with the union of its rows' supports, and every
-    call, a memo hit too, checks that union against the valid slots.  A
-    nonzero coefficient outside a valid slot would mean the module
-    element escapes the ambient free module, which the construction makes
-    impossible; it is still checked.  Past that check every invalid
-    column is zero, so the full-width rows have the restricted rank.
+    The rows come from Presentation.derivatives, whole or from index 1
+    on, bit i for row i.  The oracles call it once per degree class, not
+    once per degree.  Each rank is memoized with the union of its rows'
+    supports, and every call, a memo hit too, checks that union against
+    the valid slots.  A nonzero coefficient outside a valid slot would
+    mean the module element escapes the ambient free module, which the
+    construction makes impossible; it is still checked.  Past that check
+    every invalid column is zero, so the full-width rows have the
+    restricted rank.
     """
 
-    def __init__(self, vectors, degrees=()):
+    def __init__(self, vectors):
         self.vectors = vectors
-        self.degrees = degrees
         self._supports = [sum(1 << i for i, c in enumerate(v) if c)
                           for v in vectors]
         self._memo: dict[int, tuple[int, int]] = {}
-
-    @classmethod
-    def of(cls, relations, skip_first: bool) -> _MaskedRanks:
-        """The derivative rows of the relations and their degrees."""
-        return cls([rel.coefficients(skip_first=skip_first)
-                    for rel in relations],
-                   tuple(rel.degree for rel in relations))
 
     def rank(self, mask: int, valid: int) -> int:
         """Rank of the rows in mask restricted to the valid slots."""
@@ -233,11 +230,12 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
     ambient = from_generators(tup.weights)
     width = max(tup.weights)
     cutoff = width + ambient.conductor + least_minor_degree(pres)
-    rows = _MaskedRanks.of(pres.relations, tup.has_x)
+    rows = _MaskedRanks([vec[1:] for vec in pres.derivatives])
     n_slots = len(tup.var_weights)
     slots = (1 << n_slots) - 1
     classes = _degree_classes(
-        [(ambient, w) for w in tup.var_weights + rows.degrees], cutoff + width)
+        [(ambient, w) for w in tup.var_weights + pres.betti_degrees],
+        cutoff + width)
 
     def dimension(key, first):
         valid = key & slots
@@ -330,10 +328,10 @@ def torsion_length(S: NumericalSemigroup,
 
     weights = pres.gen_tuple.weights
     cutoff, width = ledger.cutoff, max(weights)
-    rows = _MaskedRanks.of(pres.relations, False)
+    rows = _MaskedRanks(pres.derivatives)
     n_slots = len(weights)
     slots = (1 << n_slots) - 1
-    classes = _degree_classes([(S, w) for w in weights + rows.degrees],
+    classes = _degree_classes([(S, w) for w in weights + pres.betti_degrees],
                               cutoff + width)
 
     def contribution(key, first):
@@ -374,31 +372,31 @@ def relation_module_lengths(S: NumericalSemigroup,
         return RelationModuleLengths(0, 0, 0, 0)
     q = S.multiplicity
     n_vars = S.embdim - 1
-    step = blowup(S)
-    S1 = step.transformed
+    S1 = blowup(S).transformed
     bpres = blowup_presentation(S, reverse_tiebreak)
     opres = presentation_of(S, reverse_tiebreak)
     rescaled = rescaled_relation_generators(S, opres)
-    col_weights = GeneratorTuple(step.generator_tuple).var_weights
+    col_weights = rescaled.gen_tuple.var_weights
 
     cutoff = 2 * q + least_minor_degree(opres) + S.conductor \
         + max(S.min_generators)
     width = max(q, max(col_weights))
 
-    # rows below bit len(bpres.relations) are the blowup module's, the
-    # rest the rescaled relations'; the original module is the rescaled
-    # one times x^2, and lifting reads the rescaled rows over S1
-    rows = _MaskedRanks.of(bpres.relations + rescaled, True)
-    n_blown = len(bpres.relations)
+    # rows below bit bpres.mu are the blowup module's, the rest the
+    # rescaled relations'; the original module is the rescaled one times
+    # x^2, and lifting reads the rescaled rows over S1
+    rows = _MaskedRanks([vec[1:] for vec in
+                         bpres.derivatives + rescaled.derivatives])
+    n_blown = bpres.mu
     blown = (1 << n_blown) - 1
-    n_slots, n_rows = len(col_weights), len(rows.degrees)
+    resc_degrees = rescaled.betti_degrees
+    n_slots, n_rows = len(col_weights), n_blown + rescaled.mu
     slots, over = (1 << n_slots) - 1, (1 << n_rows) - 1
-    resc_degrees = rows.degrees[n_blown:]
     # key fields from bit 0: the valid slots, the rows active over S1,
     # then the rescaled rows active over S in degree d and in degree
     # d - 2q, which times x^2 are the original module's rows in degree d
     classes = _degree_classes(
-        [(S1, w) for w in col_weights + rows.degrees]
+        [(S1, w) for w in col_weights + bpres.betti_degrees + resc_degrees]
         + [(S, w) for w in resc_degrees]
         + [(S, w + 2 * q) for w in resc_degrees], cutoff + width)
     resc_at = n_slots + n_rows

@@ -41,27 +41,21 @@ class PresentationError(ValueError):
 class GeneratorTuple:
     """Ordered weight tuple for a toric presentation.
 
-    When has_x is set, position 0 carries the distinguished parameter
-    (weight = multiplicity of the ambient curve) that stays constant
-    under differentiation; the remaining slots are the module variables.
+    Position 0 carries the distinguished parameter (weight = multiplicity
+    of the ambient curve) that stays constant under differentiation; the
+    remaining slots are the module variables, the columns of
+    Presentation.derivatives from index 1 on.
     """
 
     weights: tuple[int, ...]
-    has_x: bool = True
 
     def __post_init__(self) -> None:
         if not self.weights or any(w < 1 for w in self.weights):
             raise PresentationError("weights must be positive integers")
 
     @property
-    def x_weight(self) -> int:
-        if not self.has_x:
-            raise PresentationError("tuple has no distinguished slot")
-        return self.weights[0]
-
-    @property
     def var_weights(self) -> tuple[int, ...]:
-        return self.weights[1:] if self.has_x else self.weights
+        return self.weights[1:]
 
 
 @dataclass(frozen=True)
@@ -75,11 +69,6 @@ class BinomialRelation:
     def __post_init__(self) -> None:
         if self.lhs == self.rhs:
             raise PresentationError("trivial relation")
-
-    def coefficients(self, skip_first: bool) -> tuple[int, ...]:
-        """Exponent differences, i.e. the derivative coefficients per slot."""
-        start = 1 if skip_first else 0
-        return tuple(a - b for a, b in zip(self.lhs[start:], self.rhs[start:]))
 
 
 @dataclass(frozen=True)
@@ -96,6 +85,14 @@ class Presentation:
     def betti_degrees(self) -> tuple[int, ...]:
         """Degree of each relation, in relation order."""
         return tuple(rel.degree for rel in self.relations)
+
+    @property
+    def derivatives(self) -> tuple[tuple[int, ...], ...]:
+        """The derivative matrix over every variable: lhs - rhs per
+        relation, in relation order, the distinguished slot first.  A
+        derivative in the module variables only is a row from index 1 on."""
+        return tuple(tuple(a - b for a, b in zip(rel.lhs, rel.rhs))
+                     for rel in self.relations)
 
 
 def betti_degree_bound(gen_tuple: GeneratorTuple) -> int:
@@ -349,16 +346,18 @@ def classify_transform(S: NumericalSemigroup) -> str:
 
 
 def rescaled_relation_generators(S: NumericalSemigroup,
-                                 pres: Presentation) -> tuple[BinomialRelation, ...]:
+                                 pres: Presentation) -> Presentation:
     """Relation generators divided by the square of the distinguished parameter.
 
     Substituting X_i -> x * Z_i turns each side x^a0 * X^a into
     x^(a0 + |a|) * Z^a; dividing by x^2 is possible exactly because both
     sides of a minimal relation have total degree at least 2.  The result
-    lives over the blowup tuple and each degree drops by twice the
-    multiplicity.
+    is a presentation over the blowup tuple, one relation per relation of
+    pres, each degree lower by twice the multiplicity; only the
+    distinguished exponent changes, so its derivatives from index 1 on
+    are those of pres.
     """
-    if pres.gen_tuple.weights != S.min_generators or not pres.gen_tuple.has_x:
+    if pres.gen_tuple.weights != S.min_generators:
         raise PresentationError("expected the minimal presentation of S itself")
     q = S.multiplicity
     bw = blowup(S).generator_tuple
@@ -374,4 +373,4 @@ def rescaled_relation_generators(S: NumericalSemigroup,
         if any(sum(e * w for e, w in zip(s, bw)) != deg for s in sides):
             raise PresentationError("degree bookkeeping failed in rescaling")
         out.append(BinomialRelation(sides[0], sides[1], deg))
-    return tuple(out)
+    return Presentation(GeneratorTuple(bw), tuple(out))

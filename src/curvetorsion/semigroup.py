@@ -135,10 +135,12 @@ def from_generators(values: Iterable[int]) -> NumericalSemigroup:
     """Numerical semigroup generated by the given positive integers.
 
     The input is minimalized: redundant generators are dropped.  Raises
-    SemigroupError when the gcd of the generators is not 1.
+    SemigroupError when a generator is not a positive integer or the gcd
+    of the generators is not 1.
     """
+    values = tuple(values)
     vals = sorted({int(v) for v in values})
-    if not vals or vals[0] < 1:
+    if not vals or vals[0] < 1 or any(int(v) != v for v in values):
         raise SemigroupError("generators must be positive integers")
     g = 0
     for v in vals:

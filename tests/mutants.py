@@ -238,6 +238,9 @@ MUTANTS = [
            "S._members & ~(1 << (m + 1))",
            (T_SEMI + "test_enumeration_counts",
             T_SEMI + "test_enumerated_children_match_the_sieve")),
+    Mutant("integrality guard disabled", SEMIGROUP,
+           " or any(int(v) != v for v in values)", "",
+           (T_SEMI + "test_invalid_generators_raise",)),
     Mutant("members_mask drops the bound", SEMIGROUP,
            "& ((1 << max(bound + 1, 0)) - 1)",
            "& ((1 << max(bound, 0)) - 1)",
@@ -288,6 +291,25 @@ MUTANTS = [
            "[(S, w + 2 * q) for w in resc_degrees]",
            "[(S, w + 2 * q - 1) for w in resc_degrees]",
            (T_ORACLE + "test_graded_oracles_match_the_per_degree_references",)),
+    # the derivative matrix read off Presentation.derivatives, the
+    # references building their rows from the relations
+    Mutant("relative dims keep the distinguished column", ORACLE,
+           "rows = _MaskedRanks([vec[1:] for vec in pres.derivatives])",
+           "rows = _MaskedRanks(list(pres.derivatives))",
+           (T_ORACLE + "test_differential_dimensions_pinned",
+            T_ORACLE + "test_graded_oracles_match_the_per_degree_references")),
+    Mutant("route b drops the distinguished column", ORACLE,
+           "rows = _MaskedRanks(pres.derivatives)",
+           "rows = _MaskedRanks([vec[1:] for vec in pres.derivatives])",
+           # by the Euler relation column 0 is a rational combination of
+           # the others, so the pinned ranks hold; the slot guard fires
+           (T_PROPS + "test_cutoff_audits_never_fire_on_the_corpus",
+            T_ORACLE + "test_graded_oracles_match_the_per_degree_references")),
+    Mutant("relation-module rows read the blowup presentation twice", ORACLE,
+           "bpres.derivatives + rescaled.derivatives",
+           "bpres.derivatives + bpres.derivatives",
+           (T_ORACLE + "test_relation_module_lengths_pinned",
+            T_ORACLE + "test_graded_oracles_match_the_per_degree_references")),
 ]
 
 

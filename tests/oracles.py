@@ -4,7 +4,8 @@ Everything in this module is deliberately naive and shares no code with
 the package, so agreement between the two is evidence of correctness
 rather than a tautology.  The exceptions are the per-degree walks of the
 graded oracles, which take their inputs from the package and keep only
-the degree loops that the evaluation on degree classes replaced, the
+the degree loops that the evaluation on degree classes replaced (their
+derivative rows they build from the relations, by derivative_rows), the
 pruned minor search that the Kaehler different's determinant replaced,
 which grows the package's Echelon one row at a time, the check_
 functions that compare the package with these references, and run_cli.
@@ -300,17 +301,24 @@ def count_gap_sets(genus: int) -> int:
     return count
 
 
+def derivative_rows(pres) -> list[tuple[int, ...]]:
+    """lhs - rhs of each relation over every variable, in relation order,
+    the distinguished slot first: the rows Presentation.derivatives should
+    give, built from the exponents here."""
+    return [tuple(a - b for a, b in zip(rel.lhs, rel.rhs))
+            for rel in pres.relations]
+
+
 def brute_force_minor_degrees(pres, limit: int) -> set[int]:
     """Degrees below limit of nonvanishing maximal derivative minors.
 
     Enumerates every subset of relation rows of the right size and tests
     the determinant over Fraction; only usable for small presentations.
     """
-    skip = pres.gen_tuple.has_x
     n_vars = len(pres.gen_tuple.var_weights)
     col_sum = sum(pres.gen_tuple.var_weights)
-    rows = [(rel.degree, rel.coefficients(skip_first=skip))
-            for rel in pres.relations]
+    rows = [(rel.degree, vec[1:])
+            for rel, vec in zip(pres.relations, derivative_rows(pres))]
     out = set()
     for subset in combinations(rows, n_vars):
         degree = sum(d for d, _ in subset) - col_sum
@@ -434,10 +442,9 @@ def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:
     kaehler_different (the ideal its entries generate).
     """
     n_vars = len(pres.gen_tuple.var_weights)
-    skip = pres.gen_tuple.has_x
     col_sum = sum(pres.gen_tuple.var_weights)
-    rows = sorted((rel.degree, list(rel.coefficients(skip_first=skip)))
-                  for rel in pres.relations)
+    rows = sorted((rel.degree, list(vec[1:]))
+                  for rel, vec in zip(pres.relations, derivative_rows(pres)))
     degrees = [d for d, _ in rows]
 
     basis: list[list[int]] = []
@@ -576,7 +583,9 @@ def reference_present(items, ring, top: int) -> list[int]:
 # cutoffs, the rank helper) from the package, looked up through the
 # oracle module at call time, so a test that plants a fault there plants
 # it in both; what they check is the evaluation on degree classes that
-# replaced the loops.
+# replaced the loops, and, since they build their rows by derivative_rows
+# and their degrees from the relations, Presentation.derivatives and
+# betti_degrees.
 
 def reference_relative_differential_dims(pres):
     from curvetorsion import oracle
@@ -587,10 +596,11 @@ def reference_relative_differential_dims(pres):
     ambient = oracle.from_generators(tup.weights)
     width = max(tup.weights)
     cutoff = width + ambient.conductor + oracle.least_minor_degree(pres)
-    rows = oracle._MaskedRanks.of(pres.relations, tup.has_x)
+    rows = oracle._MaskedRanks([vec[1:] for vec in derivative_rows(pres)])
     top = cutoff + width
     slots = reference_present(tup.var_weights, ambient, top)
-    active = reference_present(rows.degrees, ambient, top)
+    active = reference_present([rel.degree for rel in pres.relations],
+                               ambient, top)
     per_degree = []
     total = 0
     for d in range(top + 1):
@@ -619,10 +629,11 @@ def reference_torsion_route_b(S, reverse_tiebreak: bool = False):
 
     weights = pres.gen_tuple.weights
     cutoff, width = ledger.cutoff, max(weights)
-    rows = oracle._MaskedRanks.of(pres.relations, False)
+    rows = oracle._MaskedRanks(derivative_rows(pres))
     top = cutoff + width
     slots = reference_present(weights, S, top)
-    active = reference_present(rows.degrees, S, top)
+    active = reference_present([rel.degree for rel in pres.relations], S,
+                               top)
     contributions = []
     route_b = 0
     for d in range(top + 1):
@@ -660,21 +671,23 @@ def reference_relation_module_lengths(S, reverse_tiebreak: bool = False):
     bpres = oracle.blowup_presentation(S, reverse_tiebreak)
     opres = oracle.presentation_of(S, reverse_tiebreak)
     rescaled = oracle.rescaled_relation_generators(S, opres)
-    col_weights = oracle.GeneratorTuple(step.generator_tuple).var_weights
+    col_weights = step.generator_tuple[1:]
 
     cutoff = 2 * q + oracle.least_minor_degree(opres) + S.conductor \
         + max(S.min_generators)
     width = max(q, max(col_weights))
 
-    rows = oracle._MaskedRanks.of(bpres.relations + rescaled, True)
+    rows = oracle._MaskedRanks([vec[1:] for vec in derivative_rows(bpres)
+                                + derivative_rows(rescaled)])
     n_blown = len(bpres.relations)
     blown = (1 << n_blown) - 1
+    degrees = [rel.degree for rel in bpres.relations + rescaled.relations]
 
     top = cutoff + width
     slots = reference_present(col_weights, S1, top)
-    active = reference_present(rows.degrees, S1, top)
+    active = reference_present(degrees, S1, top)
     resc = [m << n_blown
-            for m in reference_present(rows.degrees[n_blown:], S, top)]
+            for m in reference_present(degrees[n_blown:], S, top)]
     totals = [0, 0, 0, 0]
     for d in range(top + 1):
         valid = slots[d]

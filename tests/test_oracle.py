@@ -252,9 +252,13 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
             "containment violation: lifted rescaled module escapes the "
             "blowup relation module at degree 2 for <2,3>")
         assert message == _raised(reference_relation_module_lengths, T)
+
+    def drop_last(S, pres):
+        resc = real_rescaled(S, pres)
+        return dataclasses.replace(resc, relations=resc.relations[:-1])
+
     with monkeypatch.context() as m:
-        m.setattr(oracle, "rescaled_relation_generators",
-                  lambda S, pres: real_rescaled(S, pres)[:-1])
+        m.setattr(oracle, "rescaled_relation_generators", drop_last)
         message = _raised(lengths, S)
         assert message == ("cutoff violation: relation modules not full at "
                            "degree 39 beyond 38 for <4,6,7>")

@@ -35,7 +35,6 @@ def test_pinned_presentations(gens):
     assert pres.betti_degrees == betti
     assert len(pres.relations) == mu
     assert pres.gen_tuple.weights == gens
-    assert pres.gen_tuple.has_x
 
 
 def test_pinned_relations():
@@ -167,21 +166,15 @@ def test_generator_tuple_validation():
         GeneratorTuple(())
     with pytest.raises(PresentationError):
         GeneratorTuple((3, 0, 5))
-    tup = GeneratorTuple((4, 2, 3))
-    assert tup.x_weight == 4
-    assert tup.var_weights == (2, 3)
-    bare = GeneratorTuple((2, 3), has_x=False)
-    assert bare.var_weights == (2, 3)
-    with pytest.raises(PresentationError):
-        bare.x_weight
+    assert GeneratorTuple((4, 2, 3)).var_weights == (2, 3)
 
 
 def test_binomial_relation_validation():
     with pytest.raises(PresentationError):
         BinomialRelation((1, 0), (1, 0), 2)
     rel = BinomialRelation((0, 2, 0), (1, 0, 1), 8)
-    assert rel.coefficients(skip_first=True) == (2, -1)
-    assert rel.coefficients(skip_first=False) == (-1, 2, -1)
+    pres = Presentation(GeneratorTuple((3, 4, 5)), (rel,))
+    assert pres.derivatives == ((-1, 2, -1),)
 
 
 DEVIATIONS = {
@@ -264,7 +257,7 @@ def test_reverse_tiebreak_changes_a_representative():
 def test_rescaled_relation_generators():
     S = from_generators((3, 4, 5))
     resc = rescaled_relation_generators(S, presentation_of(S))
-    assert [(r.lhs, r.rhs, r.degree) for r in resc] == [
+    assert [(r.lhs, r.rhs, r.degree) for r in resc.relations] == [
         ((0, 2, 0), (0, 0, 1), 2),
         ((0, 1, 1), (1, 0, 0), 3),
         ((0, 0, 2), (1, 1, 0), 4),
@@ -275,11 +268,16 @@ def test_rescaled_degrees_drop_by_twice_the_multiplicity():
     S = from_generators((4, 6, 7))
     pres = presentation_of(S)
     resc = rescaled_relation_generators(S, pres)
-    assert [r.degree for r in resc] == \
+    assert [r.degree for r in resc.relations] == \
         [r.degree - 2 * S.multiplicity for r in pres.relations]
     bw = blowup(S).generator_tuple
-    for rel in resc:
+    assert resc.gen_tuple.weights == bw
+    for rel in resc.relations:
         assert sum(e * w for e, w in zip(rel.lhs, bw)) == rel.degree
+    # only the distinguished exponent changes, so the variable columns
+    # of the derivative matrix are the original presentation's
+    assert [v[1:] for v in resc.derivatives] == \
+        [v[1:] for v in pres.derivatives]
 
 
 def test_rescaling_rejects_foreign_presentations():

@@ -185,11 +185,11 @@ weight_tuples = st.lists(st.integers(min_value=1, max_value=9),
 
 
 @settings(deadline=None, max_examples=100)
-@given(weight_tuples, st.booleans())
-def test_minimal_presentation_of_any_weight_tuple(weights, has_x):
+@given(weight_tuples)
+def test_minimal_presentation_of_any_weight_tuple(weights):
     if not _coprime(weights):
         weights = weights + [max(weights) + 1]
-    tup = GeneratorTuple(tuple(weights), has_x)
+    tup = GeneratorTuple(tuple(weights))
     for tiebreak in (False, True):
         pres = minimal_presentation(tup, tiebreak)
         assert tuple((r.lhs, r.rhs, r.degree) for r in pres.relations) == \

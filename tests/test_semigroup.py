@@ -99,6 +99,8 @@ def test_invalid_generators_raise():
         from_generators((0, 3))
     with pytest.raises(SemigroupError):
         from_generators((-2, 3))
+    with pytest.raises(SemigroupError, match="positive integers"):
+        from_generators((2.5, 3))
 
 
 def test_apery_sets():
