@@ -5,12 +5,12 @@ set of exponent values: a subset of the integers, bounded below, closed
 under adding semigroup members, and containing every integer from some
 tail onward.  All the dualizing objects of this package (complementary
 module, inverses, the two differents) are of this shape, so identities
-between them reduce to finite comparisons, made here on integer
-bitmasks: bit v - lo stands for the value v, for a lower end lo chosen
-per comparison.  A value set is the union of v + S over its module
-generators v, at most multiplicity many, so an inverse is one AND of
-the ring's members shifted down by each generator, not one test per
-candidate value.
+between them reduce to finite comparisons.  A value set is one int, as
+a semigroup's membership is: bit v - min_value for each value v, every
+bit from the tail on set; comparisons shift it to a common lower end.
+A value set is the union of v + S over its module generators v, at most
+multiplicity many, so an inverse is one AND of the ring's members
+shifted down by each generator, not one test per candidate value.
 
 The Kaehler different is the ideal of the maximal minors of the
 derivative matrix J; the greedy basis's total gives its least value, all
@@ -23,12 +23,12 @@ reads the others off them and checks the lowest against the greedy total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb, prod
 
 from .linalg import Echelon, integer_determinant
 from .presentation import Presentation
-from .semigroup import NumericalSemigroup, apery_set
+from .semigroup import NumericalSemigroup, _set_bits, apery_set
 
 
 class IdealError(ValueError):
@@ -39,42 +39,35 @@ class IdealError(ValueError):
 class ValueSet:
     """Value set of a monomial fractional ideal.
 
-    members lists the values below tail_start; every integer at or above
-    tail_start belongs to the set.  Construct through make_value_set,
-    which normalizes the tail and checks stability.
+    bits has bit v - min_value set for each value v: its lowest bit is
+    set, and so is every bit from tail_start - min_value on, so the int
+    is negative.  Construct through make_value_set, which normalizes it
+    and checks stability; equal sets then have equal fields.
     """
 
     ambient: NumericalSemigroup
-    members: tuple[int, ...]
-    tail_start: int
+    min_value: int
+    bits: int
 
     @property
-    def min_value(self) -> int:
-        return self.members[0] if self.members else self.tail_start
+    def tail_start(self) -> int:
+        """Every integer from here on is a value; the one below is not."""
+        return self.min_value + (~self.bits).bit_length()
+
+    @property
+    def members(self) -> tuple[int, ...]:
+        """The values below tail_start, increasing."""
+        lo = self.min_value
+        return tuple(lo + v for v in _set_bits(self.mask(lo, self.tail_start)))
 
     def contains(self, v: int) -> bool:
-        return v >= self.tail_start or v in self.members
-
-    def values_up_to(self, bound: int) -> list[int]:
-        out = [m for m in self.members if m < bound]
-        out.extend(range(self.tail_start, bound))
-        return out
-
-    @cached_property
-    def _bits(self) -> int:
-        """The members below the tail as one int, bit m - min_value for
-        member m, built on first use."""
-        lo, out = self.min_value, 0
-        for m in self.members:
-            out |= 1 << (m - lo)
-        return out
+        return bool(self.mask(v, v + 1))
 
     def mask(self, lo: int, bound: int) -> int:
         """The values in [lo, bound) as a bitmask, bit v - lo for value v;
-        lo <= bound, and -(1 << k) sets every bit from k on."""
+        lo <= bound."""
         shift = self.min_value - lo
-        out = self._bits << shift if shift >= 0 else self._bits >> -shift
-        out |= -(1 << (max(self.tail_start, lo) - lo))
+        out = self.bits << shift if shift >= 0 else self.bits >> -shift
         return out & ((1 << (bound - lo)) - 1)
 
     def __str__(self) -> str:
@@ -83,23 +76,22 @@ class ValueSet:
         return "{" + shown + sep + str(self.tail_start) + "+}"
 
 
-def make_value_set(ambient: NumericalSemigroup, values, tail_start: int) -> ValueSet:
+def make_value_set(ambient: NumericalSemigroup, lo: int, bits: int,
+                   tail_start: int) -> ValueSet:
     """Normalize and validate a value set.
 
-    values are the known members below tail_start; the tail is shrunk
-    back over any run of consecutive members ending right before it.
+    bits has bit v - lo set for each value v below tail_start, lo <=
+    tail_start; every bit from tail_start - lo on is set here, and the
+    lowest set bit is shifted to bit 0, so the int carries no leading
+    zeros and the tail starts right after the last gap.
     """
-    below = sorted({v for v in values if v < tail_start})
-    while below and below[-1] == tail_start - 1:
-        tail_start -= 1
-        below.pop()
-    vs = ValueSet(ambient, tuple(below), tail_start)
-    # sums past the tail are in it; report the least member, then generator
-    lo, gens = vs.min_value, ambient.min_generators
-    own = vs.mask(lo, tail_start)
-    present = vs.mask(lo, tail_start + gens[-1])
-    fails = [(lo + (bad & -bad).bit_length() - 1, gen) for gen in gens
-             if (bad := own & ~(present >> gen))]
+    bits |= -(1 << (tail_start - lo))
+    low = (bits & -bits).bit_length() - 1
+    vs = ValueSet(ambient, lo + low, bits >> low)
+    # bits >> g keeps the tail; report the least member, then generator
+    fails = [(vs.min_value + (bad & -bad).bit_length() - 1, gen)
+             for gen in ambient.min_generators
+             if (bad := vs.bits & ~(vs.bits >> gen))]
     if fails:
         v, gen = min(fails)
         raise IdealError(f"value set not stable: {v} + {gen} missing")
@@ -108,7 +100,7 @@ def make_value_set(ambient: NumericalSemigroup, values, tail_start: int) -> Valu
 
 def value_set_of(S: NumericalSemigroup) -> ValueSet:
     """The ring itself as a value set."""
-    return make_value_set(S, S.members(S.conductor), S.conductor)
+    return make_value_set(S, 0, S.members_mask(S.conductor), S.conductor)
 
 
 @lru_cache(maxsize=None)
@@ -127,8 +119,9 @@ def complementary_module(S: NumericalSemigroup) -> ValueSet:
     """
     q = S.multiplicity
     apery = apery_set(S, q)
-    members = [v for v in range(-max(apery), 0) if v >= -apery[(-v) % q]]
-    vs = make_value_set(S, members, 0)
+    lo = -max(apery)
+    closed = sum(1 << (v - lo) for v in range(lo, 0) if v >= -apery[(-v) % q])
+    vs = make_value_set(S, lo, closed, 0)
     window = q + S.conductor
     seen = direct = 0  # residues of the members below u; bit v + window
     for u in range(1 - window, window + 1):
@@ -170,12 +163,7 @@ def inverse(V: ValueSet) -> ValueSet:
         low = gens & -gens
         fits &= ring >> (lo + lo_v + low.bit_length() - 1)
         gens ^= low
-    members = []
-    while fits:
-        low = fits & -fits
-        members.append(lo + low.bit_length() - 1)
-        fits ^= low
-    return make_value_set(S, members, tail)
+    return make_value_set(S, lo, fits, tail)
 
 
 def _greedy_basis(pres: Presentation) -> tuple[list, int]:
@@ -246,8 +234,8 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
         if det >> K * (t - n * lo) & digit:
             covered |= S.members_mask(limit - 1 - t) << t
     col_sum = sum(S.min_generators[1:])
-    values = [t - col_sum for t in range(base_sum, limit) if covered >> t & 1]
-    return make_value_set(S, values, limit - col_sum)
+    return make_value_set(S, base_sum - col_sum, covered >> base_sum,
+                          limit - col_sum)
 
 
 def dedekind_different(S: NumericalSemigroup) -> ValueSet:

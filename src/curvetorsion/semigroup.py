@@ -139,7 +139,10 @@ def from_generators(values: Iterable[int]) -> NumericalSemigroup:
     of the generators is not 1.
     """
     values = tuple(values)
-    vals = sorted({int(v) for v in values})
+    try:
+        vals = sorted({int(v) for v in values})
+    except (ValueError, OverflowError):  # NaN, infinity
+        raise SemigroupError("generators must be positive integers") from None
     if not vals or vals[0] < 1 or any(int(v) != v for v in values):
         raise SemigroupError("generators must be positive integers")
     g = 0

@@ -195,10 +195,26 @@ MUTANTS = [
            "ring = S.members_mask(tail + V.tail_start)",
            "ring = S.members_mask(cond)",
            (T_VALUES, T_PROPS + "test_inverse_of_any_stable_value_set")),
-    Mutant("stability mask too short", IDEALS,
-           "present = vs.mask(lo, tail_start + gens[-1])",
-           "present = vs.mask(lo, tail_start)",
+    Mutant("stability shift off by one", IDEALS,
+           "(bad := vs.bits & ~(vs.bits >> gen))",
+           "(bad := vs.bits & ~(vs.bits >> (gen - 1)))",
            (T_IDEALS + "test_value_set_basics",
+            T_IDEALS + "test_complementary_module_pinned")),
+    # a value set as one int in normal form: least value at bit 0, every
+    # bit from the tail on set
+    Mutant("normalization keeps leading zeros", IDEALS,
+           "    low = (bits & -bits).bit_length() - 1\n",
+           "    low = 0\n",
+           (T_VALUES, T_IDEALS + "test_value_set_tail_normalization",
+            T_PROPS + "test_value_set_roundtrips")),
+    Mutant("tail bits not set", IDEALS,
+           "    bits |= -(1 << (tail_start - lo))\n", "",
+           (T_VALUES, T_IDEALS + "test_value_set_basics",
+            T_IDEALS + "test_value_set_tail_normalization")),
+    Mutant("members read past the tail", IDEALS,
+           "_set_bits(self.mask(lo, self.tail_start))",
+           "_set_bits(self.mask(lo, self.tail_start + 1))",
+           (T_VALUES, T_IDEALS + "test_value_set_basics",
             T_IDEALS + "test_complementary_module_pinned")),
     Mutant("quotient length off by one", IDEALS,
            "return (outer_vals & ~inner_vals).bit_count()",

@@ -7,8 +7,10 @@ graded oracles, which take their inputs from the package and keep only
 the degree loops that the evaluation on degree classes replaced (their
 derivative rows they build from the relations, by derivative_rows), the
 pruned minor search that the Kaehler different's determinant replaced,
-which grows the package's Echelon one row at a time, the check_
-functions that compare the package with these references, and run_cli.
+which grows the package's Echelon one row at a time, value_set and
+values_up_to, which build a value set from a list of values and list
+one, the check_ functions that compare the package with these
+references, and run_cli.
 """
 
 from __future__ import annotations
@@ -413,6 +415,24 @@ def reference_inverse(generators, value_set) -> tuple[tuple[int, ...], int]:
     return _normalized(out, tail)
 
 
+def value_set(S, values, tail_start: int):
+    """The package's value set of the given values and every integer from
+    tail_start on: values at or past tail_start are kept in the tail,
+    repeats are allowed, and the list need not be sorted."""
+    from curvetorsion import make_value_set
+
+    lo = min([*values, tail_start])
+    return make_value_set(S, lo, sum({1 << (v - lo) for v in values}),
+                          tail_start)
+
+
+def values_up_to(V, bound: int) -> list[int]:
+    """The values of V below bound, increasing: its members, then the
+    tail."""
+    return [m for m in V.members if m < bound] + \
+        list(range(V.tail_start, bound))
+
+
 def large_conductor_generators() -> list[tuple[int, ...]]:
     """Generators of 259 curves of genus 15 to 59, whose conductors reach
     116: every <a,b> with 3 <= a <= 12 and a < b, ordered by a then b, then
@@ -505,7 +525,7 @@ def search_kaehler_different(S, pres):
     row has another degree, hence another shift, and may still reach an
     uncovered total.  Its cost is exponential in the embedding dimension.
     """
-    from curvetorsion import make_value_set, value_set_of
+    from curvetorsion import value_set_of
     from curvetorsion.ideals import _greedy_basis
     from curvetorsion.linalg import Echelon
 
@@ -543,7 +563,7 @@ def search_kaehler_different(S, pres):
     search(0, Echelon(), 0, n_vars)
     col_sum = sum(S.min_generators[1:])
     values = [t - col_sum for t in range(base_sum, limit) if covered >> t & 1]
-    return make_value_set(S, values, limit - col_sum)
+    return value_set(S, values, limit - col_sum)
 
 
 def check_kaehler_different(curves, tiebreaks=(False, True)) -> int:
@@ -746,17 +766,26 @@ def check_value_sets(curves) -> int:
     """Assert that the value-set layer equals the set references on every
     curve: the derivative spans and their colengths, the trace dual, and
     the inverses of the trace dual, of the Kaehler different and of the
-    ring, and the double inverse of the trace dual; returns the number of
-    curves compared."""
+    ring, and the double inverse of the trace dual; each value set is also
+    checked to be in normal form, its least value at bit 0, and to be
+    rebuilt from its own fields unchanged.  Returns the number of curves
+    compared."""
     from curvetorsion import (blowup, colength_via_derivative_spans,
                               complementary_module, exactness_defect,
                               genus_via_derivative_spans, inverse,
-                              kaehler_different, presentation_of,
-                              value_set_of)
+                              kaehler_different, make_value_set,
+                              presentation_of, value_set_of)
     from curvetorsion.oracle import _derivative_values, _span_values
 
     def bits(mask):
         return {v for v in range(mask.bit_length()) if mask >> v & 1}
+
+    def canonical(V, ref):
+        """V equals ref, given as (members, tail start), in normal form."""
+        assert (V.members, V.tail_start) == ref, (V, ref)
+        assert V.bits & 1 and V.min_value == min((*ref[0], ref[1])), V
+        assert make_value_set(V.ambient, V.min_value, V.bits,
+                              V.tail_start) == V, V
 
     compared = 0
     for S in curves:
@@ -774,15 +803,14 @@ def check_value_sets(curves) -> int:
 
         C = complementary_module(S)
         ref_c = reference_complementary_module(gens)
-        assert (C.members, C.tail_start) == ref_c, S
-        for V in (C, kaehler_different(S, presentation_of(S)),
-                  value_set_of(S)):
-            W = inverse(V)
-            assert (W.members, W.tail_start) == \
-                reference_inverse(gens, (V.members, V.tail_start)), (S, V)
-        W = inverse(inverse(C))
-        assert (W.members, W.tail_start) == \
-            reference_inverse(gens, reference_inverse(gens, ref_c)), S
+        K = kaehler_different(S, presentation_of(S))
+        ring = _normalized(naive_members(gens, c), c)
+        for V, ref in ((C, ref_c), (K, (K.members, K.tail_start)),
+                       (value_set_of(S), ring)):
+            canonical(V, ref)
+            canonical(inverse(V), reference_inverse(gens, ref))
+        canonical(inverse(inverse(C)),
+                  reference_inverse(gens, reference_inverse(gens, ref_c)))
         compared += 1
     return compared
 

@@ -14,11 +14,11 @@ from curvetorsion import (IdealError, Presentation, ValueSet,
 from curvetorsion import ideals
 from oracles import (brute_force_minor_degrees, naive_conductor,
                      naive_members, reference_fitting_minor_degrees,
-                     search_kaehler_different)
+                     search_kaehler_different, value_set, values_up_to)
 
 
 def vs(gens, members, tail):
-    return make_value_set(from_generators(gens), members, tail)
+    return value_set(from_generators(gens), members, tail)
 
 
 def test_value_set_basics():
@@ -26,9 +26,11 @@ def test_value_set_basics():
     assert V.members == (3,)
     assert V.tail_start == 5
     assert V.min_value == 3
+    assert V.bits == -3  # ...11101: bit 0 for 3, every bit from 2 on
     assert V.contains(3) and not V.contains(4) and V.contains(99)
-    assert V.values_up_to(7) == [3, 5, 6]
-    assert V.values_up_to(3) == []
+    assert not V.contains(2) and not V.contains(-7)
+    assert values_up_to(V, 7) == [3, 5, 6]
+    assert values_up_to(V, 3) == []
     assert str(V) == "{3, 5+}"
 
 
@@ -39,6 +41,18 @@ def test_value_set_tail_normalization():
     W = vs((2, 3), [2, 3, 4], 5)
     assert W.members == () and W.tail_start == 2
     assert str(W) == "{2+}"
+    # through the constructor: leading zero bits above lo, bits set past
+    # tail_start, and an empty finite part all reach the normal form
+    S = from_generators((2, 3))
+    assert (V.min_value, V.bits) == (3, -3)
+    assert make_value_set(S, 0, 0b1000, 5) == V
+    assert make_value_set(S, -4, 0b10000000, 5) == V
+    assert make_value_set(S, 1, 0b1100100, 5) == V
+    assert make_value_set(S, 3, -1 << 2 | 1, 5) == V
+    assert (W.min_value, W.bits) == (2, -1)
+    assert make_value_set(S, 2, 0, 2) == W
+    assert make_value_set(S, -3, 0, 2) == W
+    assert make_value_set(S, -3, 0b11100000, 5) == W
 
 
 def test_value_set_duplicate_and_tail_values_are_dropped():
@@ -119,7 +133,7 @@ def test_the_two_differents_differ_beyond_deviation_one():
     DD = dedekind_different(S)
     assert DK != DD
     assert not DK.contains(11) and DD.contains(11)
-    for v in DK.values_up_to(DK.tail_start + S.conductor):
+    for v in values_up_to(DK, DK.tail_start + S.conductor):
         assert DD.contains(v)  # containment still holds one way
 
 
@@ -129,7 +143,7 @@ def _assert_ideal_of_degrees(S, different, degrees):
     tail = min(degrees) + naive_conductor(S.min_generators)
     members = naive_members(S.min_generators, tail)
     union = {v + m for v in degrees for m in members if v + m < tail}
-    assert set(different.values_up_to(tail)) == union, (S, different)
+    assert set(values_up_to(different, tail)) == union, (S, different)
     assert different.tail_start <= tail, (S, different)
 
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from curvetorsion import (GeneratorTuple, Presentation, apery_set, blowup,
                           complementary_module, dedekind_different,
                           enumerate_by_genus, from_generators, full_report,
-                          inverse, make_value_set, minimal_presentation,
-                          presentation_of, relations_generate, value_set_of)
+                          inverse, minimal_presentation, presentation_of,
+                          relations_generate, value_set_of)
 from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
 from curvetorsion.oracle import _MaskedRanks, _span_values
 from curvetorsion.presentation import _used_positions
@@ -25,7 +25,7 @@ from oracles import (bareiss_determinant, bareiss_rank, echelon_extend,
                      fraction_determinant, fraction_rank, naive_conductor,
                      naive_members, reference_inverse,
                      reference_minimal_presentation, reference_span_values,
-                     used_positions)
+                     used_positions, value_set, values_up_to)
 
 matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda ncols: st.lists(
@@ -168,11 +168,10 @@ def test_value_set_roundtrips(gens):
     S = from_generators(gens)
     for V in (value_set_of(S), complementary_module(S),
               dedekind_different(S)):
-        rebuilt = make_value_set(S, V.values_up_to(V.tail_start),
-                                 V.tail_start)
+        rebuilt = value_set(S, values_up_to(V, V.tail_start), V.tail_start)
         assert rebuilt == V
         bound = V.tail_start + 3
-        listed = V.values_up_to(bound)
+        listed = values_up_to(V, bound)
         assert listed == sorted(listed)
         for v in range(V.min_value - 2, bound):
             assert V.contains(v) == (v in listed)
@@ -252,7 +251,7 @@ def stable_value_sets(draw):
     lo, tail = min(shifts), min(shifts) + c
     members = [v for v in range(lo, tail)
                if any(S.contains(v - s) for s in shifts)]
-    return make_value_set(S, members, tail)
+    return value_set(S, members, tail)
 
 
 @settings(deadline=None, max_examples=150)

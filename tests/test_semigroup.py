@@ -101,6 +101,9 @@ def test_invalid_generators_raise():
         from_generators((-2, 3))
     with pytest.raises(SemigroupError, match="positive integers"):
         from_generators((2.5, 3))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(SemigroupError, match="positive integers"):
+            from_generators((bad, 3))
 
 
 def test_apery_sets():
