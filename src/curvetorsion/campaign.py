@@ -9,8 +9,7 @@ never be conflated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import FormulaNotApplicable, OracleError
 from .formulas import CurveReport, _chain_drops, full_report
@@ -26,8 +25,7 @@ _DOMAIN_ERRORS = (SemigroupError, PresentationError, IdealError, OracleError,
                   FormulaNotApplicable)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     """One transform step with the formula-side drop prediction."""
 
     generators: tuple[int, ...]
@@ -36,8 +34,7 @@ class ChainStep:
     formula_drop: int
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """A full transform chain down to a regular curve.
 
     The formula drops are summed without consulting the torsion oracle on
@@ -73,8 +70,7 @@ def corpus(max_genus: int, max_multiplicity: int | None = None
             yield S
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     max_genus: int
     max_multiplicity: int | None = None
     jobs: int = 1
@@ -82,8 +78,7 @@ class CampaignConfig:
     reverse_tiebreak: bool = False
 
 
-@dataclass(frozen=True)
-class CampaignSummary:
+class CampaignSummary(NamedTuple):
     """Aggregate outcome of one verification campaign."""
 
     curves_examined: int
@@ -127,11 +122,13 @@ def run_campaign(config: CampaignConfig
     min_singular_torsion = None
     min_ci_excess = None
 
-    if config.jobs > 1:
+    # a worker without a curve would be forked for nothing
+    workers = min(config.jobs, len(jobs))
+    if workers > 1:
         # imported here so that serial runs never load the pool stack
         # (multiprocessing, socket, pickle, subprocess, logging)
         from concurrent.futures import ProcessPoolExecutor
-        executor = ProcessPoolExecutor(max_workers=config.jobs)
+        executor = ProcessPoolExecutor(max_workers=workers)
         results = executor.map(_examine, jobs, chunksize=4)
     else:
         executor = None

@@ -10,36 +10,60 @@ runs; machine formats keep stdout pure and push summaries to stderr.
 
 from __future__ import annotations
 
-import csv
-import json
+import argparse
 import sys
 from itertools import chain as chained
-
-import click
 
 from .campaign import (_DOMAIN_ERRORS, CampaignConfig, ChainResult,
                        build_chain, corpus, run_campaign)
 from .formulas import CurveReport, full_report
 from .semigroup import from_generators
 
-_FORMAT_OPTION = click.option(
-    "--format", "fmt", type=click.Choice(["human", "jsonl", "csv"]),
-    default="human", show_default=True,
-    help="Human-readable report, one JSON record per line, or CSV rows.")
 
-_TIEBREAK_OPTION = click.option(
-    "--reverse-tiebreak", is_flag=True,
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1 with one line."""
+
+    def error(self, message: str):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(1)
+
+
+def _at_least(low: int):
+    """Argument type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a valid integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"{value} is not in the range x>={low}")
+        return value
+    return parse
+
+
+# (flags, keyword arguments) of argparse options shared by the commands
+_GENERATORS = (("generators",), dict(
+    nargs="+", type=_at_least(1), metavar="GENERATORS",
+    help="Minimal generators of the value semigroup."))
+_FORMAT = (("--format",), dict(
+    dest="fmt", choices=("human", "jsonl", "csv"), default="human",
+    help="Human-readable report, one JSON record per line, or CSV rows "
+         "(default: human)."))
+_TIEBREAK = (("--reverse-tiebreak",), dict(
+    action="store_true",
     help="Pick relation representatives from the opposite end of each "
-         "tie; all reported lengths must be unchanged.")
+         "tie; all reported lengths must be unchanged."))
+_MAX_MULTIPLICITY = (("--max-multiplicity",), dict(
+    type=_at_least(1), default=None,
+    help="Skip curves of larger multiplicity."))
 
 
-@click.group()
-def cli() -> None:
-    """Verify torsion and length identities for monomial curves.
-
-    Curves are given by the minimal generators of their value semigroup,
-    for example: analyze 4 6 7.
-    """
+def _max_genus(verb: str):
+    return (("--max-genus",), dict(
+        type=_at_least(0), required=True,
+        help=f"{verb} every curve with at most this many gaps."))
 
 
 def _check_mark(value: bool | None) -> str:
@@ -119,17 +143,21 @@ def _emit(fmt: str, lines, records, header, rows, notes=()) -> None:
     """
     if fmt == "human":
         for line in lines:
-            click.echo(line)
+            print(line)
         return
     if fmt == "jsonl":
+        import json
         for record in records:
-            click.echo(json.dumps(record, separators=(", ", ": ")))
+            print(json.dumps(record, separators=(", ", ": ")))
     else:
+        import csv
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    # the records stay ahead of the notes when both streams share a file
+    sys.stdout.flush()
     for line in notes:
-        click.echo(line, err=True)
+        print(line, file=sys.stderr)
 
 
 def _summary_lines(summary) -> list[str]:
@@ -156,66 +184,38 @@ def _summary_lines(summary) -> list[str]:
     return lines
 
 
-@cli.command()
-@click.argument("generators", nargs=-1, type=click.IntRange(min=1),
-                required=True)
-@_FORMAT_OPTION
-@_TIEBREAK_OPTION
-@click.pass_context
-def analyze(ctx, generators: tuple[int, ...], fmt: str,
-            reverse_tiebreak: bool) -> None:
+def analyze(args: argparse.Namespace) -> int:
     """Verify every applicable identity for one curve."""
-    report = full_report(from_generators(generators), reverse_tiebreak)
-    _emit(fmt, lines=_human_lines(report),
+    report = full_report(from_generators(args.generators),
+                         args.reverse_tiebreak)
+    _emit(args.fmt, lines=_human_lines(report),
           records=map(CurveReport.to_dict, [report]),
           header=_CSV_HEADER, rows=_csv_rows([report]))
-    if not report.all_pass:
-        ctx.exit(2)
+    return 0 if report.all_pass else 2
 
 
-@cli.command()
-@click.option("--max-genus", type=click.IntRange(min=0), required=True,
-              help="Verify every curve with at most this many gaps.")
-@click.option("--max-multiplicity", type=click.IntRange(min=1), default=None,
-              help="Skip curves of larger multiplicity.")
-@click.option("--jobs", type=click.IntRange(min=1), default=1,
-              show_default=True, help="Worker processes.")
-@click.option("--fail-fast", is_flag=True,
-              help="Stop at the first violation or oracle error.")
-@_FORMAT_OPTION
-@_TIEBREAK_OPTION
-@click.pass_context
-def verify(ctx, max_genus: int, max_multiplicity: int | None, jobs: int,
-           fail_fast: bool, fmt: str, reverse_tiebreak: bool) -> None:
+def verify(args: argparse.Namespace) -> int:
     """Verify the whole corpus up to a genus bound."""
-    config = CampaignConfig(max_genus=max_genus,
-                            max_multiplicity=max_multiplicity,
-                            jobs=jobs, fail_fast=fail_fast,
-                            reverse_tiebreak=reverse_tiebreak)
+    config = CampaignConfig(max_genus=args.max_genus,
+                            max_multiplicity=args.max_multiplicity,
+                            jobs=args.jobs, fail_fast=args.fail_fast,
+                            reverse_tiebreak=args.reverse_tiebreak)
     summary, reports = run_campaign(config)
     notes = _summary_lines(summary)
-    _emit(fmt, lines=chained(map(_verify_line, reports), notes),
+    _emit(args.fmt, lines=chained(map(_verify_line, reports), notes),
           records=map(CurveReport.to_dict, reports),
           header=_CSV_HEADER, rows=_csv_rows(reports), notes=notes)
     if summary.oracle_errors:
-        ctx.exit(1)
-    if summary.violations:
-        ctx.exit(2)
+        return 1
+    return 2 if summary.violations else 0
 
 
-@cli.command("enumerate")
-@click.option("--max-genus", type=click.IntRange(min=0), required=True,
-              help="List every curve with at most this many gaps.")
-@click.option("--max-multiplicity", type=click.IntRange(min=1), default=None,
-              help="Skip curves of larger multiplicity.")
-@_FORMAT_OPTION
-def enumerate_cmd(max_genus: int, max_multiplicity: int | None,
-                  fmt: str) -> None:
+def enumerate_cmd(args: argparse.Namespace) -> int:
     """List the corpus of curves up to a genus bound."""
     counts: dict[int, int] = {}
 
     def counted():
-        for S in corpus(max_genus, max_multiplicity):
+        for S in corpus(args.max_genus, args.max_multiplicity):
             counts[S.genus] = counts.get(S.genus, 0) + 1
             yield S
 
@@ -224,7 +224,7 @@ def enumerate_cmd(max_genus: int, max_multiplicity: int | None,
             yield f"genus {g}: {c} curves"
         yield f"total: {sum(counts.values())} curves"
 
-    _emit(fmt,
+    _emit(args.fmt,
           lines=chained((f"{_curve_label(S.min_generators)} genus {S.genus} "
                          f"multiplicity {S.multiplicity} embdim {S.embdim}"
                          + (" symmetric" if S.is_symmetric else "")
@@ -240,23 +240,17 @@ def enumerate_cmd(max_genus: int, max_multiplicity: int | None,
                  S.embdim, "yes" if S.is_symmetric else "no")
                 for S in counted()),
           notes=totals())
+    return 0
 
 
-@cli.command()
-@click.argument("generators", nargs=-1, type=click.IntRange(min=1),
-                required=True)
-@_FORMAT_OPTION
-@_TIEBREAK_OPTION
-@click.pass_context
-def chain(ctx, generators: tuple[int, ...], fmt: str,
-          reverse_tiebreak: bool) -> None:
+def chain(args: argparse.Namespace) -> int:
     """Transform down to a regular curve, telescoping the formula drops."""
-    S = from_generators(generators)
-    result: ChainResult = build_chain(S, reverse_tiebreak)
+    S = from_generators(args.generators)
+    result: ChainResult = build_chain(S, args.reverse_tiebreak)
     notes = [f"telescoped drops: {result.telescoped_total}",
              f"torsion length at start: {result.start_torsion}"]
     steps = result.steps
-    _emit(fmt,
+    _emit(args.fmt,
           lines=chained((f"{_curve_label(s.generators)} {s.classification}: "
                          f"{s.formula_name} predicts drop {s.formula_drop}"
                          for s in steps), notes,
@@ -270,26 +264,67 @@ def chain(ctx, generators: tuple[int, ...], fmt: str,
           rows=((_csv_label(s.generators), s.classification, s.formula_name,
                  s.formula_drop) for s in steps),
           notes=notes)
-    if not result.telescopes:
-        ctx.exit(2)
+    return 0 if result.telescopes else 2
+
+
+# command name -> (function, its options)
+_COMMANDS = {
+    "analyze": (analyze, (_GENERATORS, _FORMAT, _TIEBREAK)),
+    "verify": (verify, (
+        _max_genus("Verify"), _MAX_MULTIPLICITY,
+        (("--jobs",), dict(type=_at_least(1), default=1,
+                           help="Worker processes (default: 1).")),
+        (("--fail-fast",), dict(
+            action="store_true",
+            help="Stop at the first violation or oracle error.")),
+        _FORMAT, _TIEBREAK)),
+    "enumerate": (enumerate_cmd, (_max_genus("List"), _MAX_MULTIPLICITY,
+                                  _FORMAT)),
+    "chain": (chain, (_GENERATORS, _FORMAT, _TIEBREAK)),
+}
+
+
+def _parse(argv) -> tuple:
+    """The command function and its parsed arguments.
+
+    The top-level parser only picks the command; the command's own parser
+    then reads the rest, options and generators in any order.
+    """
+    top = _Parser(
+        prog="curvetorsion", allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Verify torsion and length identities for monomial "
+                    "curves.\n\nCurves are given by the minimal generators "
+                    "of their value semigroup,\nfor example: analyze 4 6 7."
+                    "\n\ncommands:\n" + "\n".join(
+                        f"  {name:<10} {run.__doc__.splitlines()[0]}"
+                        for name, (run, _) in _COMMANDS.items()))
+    top.add_argument("command", choices=_COMMANDS, metavar="COMMAND",
+                     help="One of: " + ", ".join(_COMMANDS) + ".")
+    top.add_argument("args", nargs=argparse.REMAINDER, metavar="ARGS",
+                     help="The command's arguments; see COMMAND --help.")
+    picked = top.parse_args(argv)
+    run, options = _COMMANDS[picked.command]
+    parser = _Parser(prog=f"curvetorsion {picked.command}",
+                     description=run.__doc__, allow_abbrev=False)
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
+    return run, parser.parse_intermixed_args(picked.args)
 
 
 def main(argv=None) -> None:
     """Entry point mapping every failure to the documented exit codes.
 
     Violations exit 2; anything that keeps the tool from finishing the
-    check (bad usage, invalid curve, oracle failure) exits 1.  Click's
-    own usage handling would exit 2, so it is remapped here.
+    check (bad usage, invalid curve, oracle failure, an interrupt) exits 1.
     """
     try:
-        code = cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
-        click.echo("error: aborted", err=True)
-        sys.exit(1)
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        run, args = _parse(argv)
+        code = run(args)
+    except (KeyboardInterrupt, EOFError):
+        print("error: aborted", file=sys.stderr)
         sys.exit(1)
     except _DOMAIN_ERRORS as exc:
-        click.echo(f"error: {exc}", err=True)
+        print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
-    sys.exit(code if isinstance(code, int) else 0)
+    sys.exit(code)

@@ -8,7 +8,7 @@ record says which theorems held and which had nothing to say.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 from .errors import FormulaNotApplicable
 from .ideals import (dedekind_different, different_inverse_gap,
@@ -120,8 +120,7 @@ def chain_drop_sum(S: NumericalSemigroup,
     return sum(drop for _, _, drop in _chain_drops(S, reverse_tiebreak))
 
 
-@dataclass
-class CurveReport:
+class CurveReport(NamedTuple):
     """Everything the verifier computed for one curve, plus check outcomes.
 
     checks maps identity names to True (held), False (violated), or None
@@ -156,17 +155,15 @@ class CurveReport:
     relation_degrees: tuple[int, ...]
     blowup_relation_count: int
     kaehler_different: str
-    checks: dict[str, bool | None] = field(default_factory=dict)
+    checks: dict[str, bool | None]
 
     @property
     def all_pass(self) -> bool:
         return all(v is not False for v in self.checks.values())
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        for k, v in out.items():
-            if isinstance(v, tuple):
-                out[k] = list(v)
+        out = {k: list(v) if isinstance(v, tuple) else v
+               for k, v in self._asdict().items()}
         out["checks"] = dict(self.checks)
         out["all_pass"] = self.all_pass
         return out
@@ -273,9 +270,8 @@ def full_report(S: NumericalSemigroup,
             checks["nice_aci_drop_formula"] = \
                 drop == nice_aci_drop(S, reverse_tiebreak)
 
-    module_lengths = (asdict(lengths) if lengths is not None else
-                      dict.fromkeys(f.name for f in
-                                    fields(RelationModuleLengths)))
+    module_lengths = (lengths._asdict() if lengths is not None else
+                      dict.fromkeys(RelationModuleLengths._fields))
     return CurveReport(
         generators=S.min_generators,
         multiplicity=q,

@@ -22,9 +22,9 @@ reads the others off them and checks the lowest against the greedy total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
+from typing import NamedTuple
 
 from .linalg import Echelon, integer_determinant
 from .presentation import Presentation
@@ -35,8 +35,7 @@ class IdealError(ValueError):
     """Raised for value sets that are not semigroup-stable or comparable."""
 
 
-@dataclass(frozen=True)
-class ValueSet:
+class ValueSet(NamedTuple):
     """Value set of a monomial fractional ideal.
 
     bits has bit v - min_value set for each value v: its lowest bit is

@@ -34,8 +34,8 @@ is still alive there, so a wrong cutoff cannot silently truncate a sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import OracleError
 from .ideals import least_minor_degree
@@ -45,8 +45,7 @@ from .presentation import (Presentation, blowup_presentation, presentation_of,
 from .semigroup import NumericalSemigroup, blowup, from_generators
 
 
-@dataclass(frozen=True)
-class GradedDimensionLedger:
+class GradedDimensionLedger(NamedTuple):
     """Nonzero graded dimensions of a finite-length module, with audit data."""
 
     per_degree: tuple[tuple[int, int], ...]
@@ -58,8 +57,7 @@ class GradedDimensionLedger:
         return dict(self.per_degree).get(degree, 0)
 
 
-@dataclass(frozen=True)
-class TorsionResult:
+class TorsionResult(NamedTuple):
     """Torsion length with both independent routes that produced it."""
 
     length: int
@@ -68,8 +66,7 @@ class TorsionResult:
     contributions: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class RelationModuleLengths:
+class RelationModuleLengths(NamedTuple):
     """Lengths between the four nested relation modules after one transform.
 
     All four live in the free module on the transformed variables.  The

@@ -26,9 +26,10 @@ minimal_presentation reads from S, derived here from the weights alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
+from typing import NamedTuple
 
 from .semigroup import NumericalSemigroup, _closure, blowup, from_generators
 
@@ -37,8 +38,7 @@ class PresentationError(ValueError):
     """Raised for malformed generator tuples or unusable presentations."""
 
 
-@dataclass(frozen=True)
-class GeneratorTuple:
+class GeneratorTuple(namedtuple("GeneratorTuple", "weights")):
     """Ordered weight tuple for a toric presentation.
 
     Position 0 carries the distinguished parameter (weight = multiplicity
@@ -47,32 +47,31 @@ class GeneratorTuple:
     Presentation.derivatives from index 1 on.
     """
 
-    weights: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.weights or any(w < 1 for w in self.weights):
+    def __new__(cls, weights: tuple[int, ...]) -> GeneratorTuple:
+        if not weights or any(w < 1 for w in weights):
             raise PresentationError("weights must be positive integers")
+        return super().__new__(cls, weights)
 
     @property
     def var_weights(self) -> tuple[int, ...]:
         return self.weights[1:]
 
 
-@dataclass(frozen=True)
-class BinomialRelation:
+class BinomialRelation(namedtuple("BinomialRelation", "lhs rhs degree")):
     """A binomial lhs - rhs between monomials of equal weighted degree."""
 
-    lhs: tuple[int, ...]
-    rhs: tuple[int, ...]
-    degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.lhs == self.rhs:
+    def __new__(cls, lhs: tuple[int, ...], rhs: tuple[int, ...],
+                degree: int) -> BinomialRelation:
+        if lhs == rhs:
             raise PresentationError("trivial relation")
+        return super().__new__(cls, lhs, rhs, degree)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     gen_tuple: GeneratorTuple
     relations: tuple[BinomialRelation, ...]
 

@@ -18,10 +18,9 @@ and the Apery set of n holds the members s with s - n not a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class SemigroupError(ValueError):
@@ -167,8 +166,7 @@ def apery_set(S: NumericalSemigroup, modulus: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class BlowupResult:
+class BlowupResult(NamedTuple):
     """Quadratic transform of a semigroup, keeping the untransformed tuple.
 
     generator_tuple is (q, n2 - q, ..., nk - q) in generator order; it is

@@ -47,6 +47,7 @@ IDEALS = "src/curvetorsion/ideals.py"
 ORACLE = "src/curvetorsion/oracle.py"
 SEMIGROUP = "src/curvetorsion/semigroup.py"
 CLI = "src/curvetorsion/cli.py"
+CAMPAIGN = "src/curvetorsion/campaign.py"
 LINALG = "src/curvetorsion/linalg.py"
 
 T_PRES = "tests/test_presentation.py::"
@@ -138,6 +139,28 @@ MUTANTS = [
            "'curvetorsion.presentation').presentation.presentation_of("
            'from_generators(r.generators))}, "',
            (T_CLI + "test_human_rendering_reads_only_the_record",)),
+    # the argparse front end and what a command loads
+    Mutant("usage errors exit 2", CLI,
+           'print(f"error: {message}", file=sys.stderr)\n        sys.exit(1)',
+           'print(f"error: {message}", file=sys.stderr)\n        sys.exit(2)',
+           (T_CLI + "test_usage_errors_exit_one",)),
+    Mutant("json imported at start-up", CLI,
+           "import argparse\nimport sys\n",
+           "import argparse\nimport json\nimport sys\n",
+           (T_CLI + "test_human_commands_load_only_what_they_use",)),
+    Mutant("abbreviations allowed", CLI,
+           "description=run.__doc__, allow_abbrev=False)",
+           "description=run.__doc__, allow_abbrev=True)",
+           (T_CLI + "test_usage_errors_exit_one",)),
+    Mutant("pool not capped at the corpus size", CAMPAIGN,
+           "ProcessPoolExecutor(max_workers=workers)",
+           "ProcessPoolExecutor(max_workers=config.jobs)",
+           ("tests/test_campaign.py::"
+            "test_campaign_pool_is_capped_at_the_corpus_size",)),
+    Mutant("GeneratorTuple validation dropped", PRES,
+           "if not weights or any(w < 1 for w in weights):",
+           "if False:",
+           (T_PRES + "test_generator_tuple_validation",)),
     # the minimal presentation from membership tests on G_d
     Mutant("wrong neighbour set", PRES,
            "new = _positions(weights, mask, d - weights[i]) & rest & ~comp",

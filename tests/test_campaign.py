@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import curvetorsion.campaign
 from curvetorsion import (CampaignConfig, CampaignSummary, IdealError,
                           build_chain, from_generators, run_campaign)
@@ -90,6 +92,33 @@ def test_campaign_parallel_matches_serial():
     assert parallel_summary == serial_summary
     assert [r.to_dict() for r in parallel_reports] == \
         [r.to_dict() for r in serial_reports]
+
+
+def test_campaign_pool_is_capped_at_the_corpus_size(monkeypatch):
+    """--jobs 64 on two curves forks two workers, and one curve none."""
+    started = []
+
+    class RecordingPool:
+        """Records max_workers and runs in process; forks nothing."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    serial = run_campaign(CampaignConfig(max_genus=1))
+    assert run_campaign(CampaignConfig(max_genus=1, jobs=64)) == serial
+    assert started == [2]
+    run_campaign(CampaignConfig(max_genus=0, jobs=64))
+    assert started == [2]
+    run_campaign(CampaignConfig(max_genus=3, jobs=3))
+    assert started == [2, 3]
 
 
 def test_campaign_reverse_tiebreak_changes_no_length():

@@ -115,10 +115,33 @@ def test_analyze_rejects_non_semigroup():
 
 def test_usage_errors_exit_one():
     for argv in [("analyze", "0", "3"), ("analyze",), ("bogus",),
-                 ("verify",), ("verify", "--max-genus", "-1"), ()]:
-        code, _, err = run_cli(*argv)
+                 ("verify",), ("verify", "--max-genus", "-1"), (),
+                 ("analyze", "3", "4", "--format", "xml"),
+                 ("verify", "--max-genus", "2", "--jobs", "0"),
+                 # an abbreviation of --max-genus is no option at all
+                 ("verify", "--max-gen", "2"),
+                 ("analyze", "3", "4", "--bogus"),
+                 ("analyze", "-3", "4"),
+                 ("analyze", "3", "x"),
+                 ("enumerate", "--max-genus", "2", "--max-multiplicity", "0"),
+                 ("verify", "--max-genus", "1", "extra")]:
+        code, out, err = run_cli(*argv)
         assert code == 1, argv
-        assert err.startswith("error:"), argv
+        assert out == "", argv
+        assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+def test_options_may_come_between_generators():
+    assert run_cli("analyze", "3", "--format", "jsonl", "4", "5") == \
+        run_cli("analyze", "3", "4", "5", "--format", "jsonl")
+
+
+def test_interrupt_exits_one(monkeypatch):
+    def interrupted(S, reverse_tiebreak=False):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("curvetorsion.cli.full_report", interrupted)
+    assert run_cli("analyze", "2", "3") == (1, "", "error: aborted\n")
 
 
 def test_help_exits_zero():
@@ -301,33 +324,53 @@ def test_module_entry_point():
     assert "result: PASS" in proc.stdout
 
 
-_POOL_PROBE = """
+_PROBE = """
 import sys
 from curvetorsion.cli import main
 codes = []
-for argv in (["analyze", "3", "5", "7"], ["verify", "--max-genus", "3"]):
+for argv in {commands!r}:
     try:
         main(argv)
     except SystemExit as exc:
         codes.append(exc.code)
-pool = [m for m in ("multiprocessing", "concurrent.futures")
-        if m in sys.modules]
-print(codes, pool, file=sys.stderr)
+loaded = [m for m in {modules!r} if m in sys.modules]
+print(codes, loaded, file=sys.stderr)
 """
+_SERIAL = (["analyze", "3", "5", "7"], ["verify", "--max-genus", "3"])
+
+
+def _probe(commands, modules) -> str:
+    """Run the commands in one fresh interpreter; the exit codes and the
+    named modules loaded at the end, as printed lists."""
+    src = str(Path(curvetorsion.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(commands=commands,
+                                             modules=modules)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.splitlines()[-1]
 
 
 def test_serial_commands_never_load_the_process_pool():
     """Only --jobs > 1 imports the process pool; a serial analyze or
     verify must not pay for multiprocessing and concurrent.futures."""
-    src = str(Path(curvetorsion.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
-    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
     # analyze exits 0; verify exits 2 on the violation of <4,5,6,7>
-    assert proc.stderr.splitlines()[-1] == "[0, 2] []"
+    assert _probe(_SERIAL, ("multiprocessing", "concurrent.futures")) \
+        == "[0, 2] []"
+
+
+def test_human_commands_load_only_what_they_use():
+    """A human-format analyze and a serial verify start without the
+    argument framework, the record decorator, the machine formats or the
+    process pool; a jsonl analyze shows that the probe sees imports."""
+    unused = ("click", "dataclasses", "inspect", "json", "csv",
+              "multiprocessing", "concurrent.futures")
+    assert _probe(_SERIAL, unused) == "[0, 2] []"
+    jsonl = (["analyze", "3", "5", "7", "--format", "jsonl"],)
+    assert _probe(jsonl, ("json", "csv")) == "[0] ['json']"
 
 
 @pytest.mark.skipif(shutil.which("curvetorsion") is None,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
@@ -237,8 +235,7 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
     real_rescaled = oracle.rescaled_relation_generators
     with monkeypatch.context() as m:
         m.setattr(oracle, "blowup_presentation", lambda S, tb=False:
-                  dataclasses.replace(real_blowup_presentation(S, tb),
-                                      relations=()))
+                  real_blowup_presentation(S, tb)._replace(relations=()))
         message = _raised(lengths, S)
         assert message == (
             "containment violation: lifted rescaled module escapes the "
@@ -255,7 +252,7 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
 
     def drop_last(S, pres):
         resc = real_rescaled(S, pres)
-        return dataclasses.replace(resc, relations=resc.relations[:-1])
+        return resc._replace(relations=resc.relations[:-1])
 
     with monkeypatch.context() as m:
         m.setattr(oracle, "rescaled_relation_generators", drop_last)
@@ -305,8 +302,7 @@ def _lowered_ledger(monkeypatch, shift: int) -> None:
     enough to cut torsion would trip the ledger's own guard first."""
     real = oracle.relative_differential_dims
     monkeypatch.setattr(oracle, "relative_differential_dims", lambda pres:
-                        dataclasses.replace(real(pres),
-                                            cutoff=real(pres).cutoff - shift))
+                        real(pres)._replace(cutoff=real(pres).cutoff - shift))
 
 
 def test_torsion_cutoff_violation_fires_on_a_planted_cutoff(monkeypatch):
@@ -323,7 +319,7 @@ def _planted_relation(monkeypatch, relation: BinomialRelation) -> None:
     minimal presentation the oracle module asks for."""
     real = oracle.presentation_of
     monkeypatch.setattr(oracle, "presentation_of", lambda S, tb=False:
-                        dataclasses.replace(real(S, tb), relations=real(
+                        real(S, tb)._replace(relations=real(
                             S, tb).relations + (relation,)))
 
 
