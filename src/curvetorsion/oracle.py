@@ -17,9 +17,10 @@ present in degree d when d - w is a member of the ring, so its degrees
 are the ring's members shifted by w, one int.  Each oracle call splits
 the degrees up to its top by these masks into classes of degrees with
 equal keys (_degree_classes), each class one int, and evaluates every
-class once, in order of first degree (_evaluate): a total is the value
-times the number of the class's degrees up to the cutoff, the audit
-reads its degrees past the cutoff, and a guard names its first degree.
+class once, in order of first degree (_evaluate): the audit reads its
+degrees past the cutoff, and a guard names its first degree.  The
+degrees up to the cutoff come back merged by value, one int per value,
+and a total is each value times its number of degrees.
 Ranks go through one _MaskedRanks whose memo lives for that call only;
 the two torsion routes build their own classes and helpers and never
 share a rank.
@@ -46,24 +47,31 @@ from .semigroup import NumericalSemigroup, blowup, from_generators
 
 
 class GradedDimensionLedger(NamedTuple):
-    """Nonzero graded dimensions of a finite-length module, with audit data."""
+    """Nonzero graded dimensions of a finite-length module, with audit data.
 
-    per_degree: tuple[tuple[int, int], ...]
+    by_value holds one (dimension, degrees) pair per nonzero dimension,
+    in increasing order of dimension, with bit d of degrees set for each
+    degree d of that dimension.
+    """
+
+    by_value: tuple[tuple[int, int], ...]
     total: int
     cutoff: int
     window: tuple[int, int]
 
     def dimension(self, degree: int) -> int:
-        return dict(self.per_degree).get(degree, 0)
+        return next((dim for dim, degrees in self.by_value
+                     if degree >= 0 and degrees >> degree & 1), 0)
 
 
 class TorsionResult(NamedTuple):
-    """Torsion length with both independent routes that produced it."""
+    """Torsion length with both independent routes that produced it, and
+    route b's nonzero contributions by value, as in GradedDimensionLedger."""
 
     length: int
     route_a: int
     route_b: int
-    contributions: tuple[tuple[int, int], ...]
+    by_value: tuple[tuple[int, int], ...]
 
 
 class RelationModuleLengths(NamedTuple):
@@ -120,10 +128,11 @@ def _degree_classes(items, top: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _evaluate(classes, cutoff: int, evaluate, violation) -> list:
-    """(degrees up to the cutoff, value) per class that has such degrees,
-    value = evaluate(key, first degree), once per class in order of first
-    degree.
+def _evaluate(classes, cutoff: int, evaluate, violation) -> tuple:
+    """(value, degrees up to the cutoff) per distinct nonzero value, in
+    increasing order of value, with value = evaluate(key, first degree)
+    once per class in order of first degree; the classes' degrees up to
+    the cutoff are merged by value into one int.
 
     violation(value, d) is a message when value may not stand at degree d
     past the cutoff, else falsy; it is asked at each class's lowest degree
@@ -136,7 +145,7 @@ def _evaluate(classes, cutoff: int, evaluate, violation) -> list:
     """
     below = (1 << max(cutoff + 1, 0)) - 1
     fault = None
-    values = []
+    merged = {}
     for first, degrees, key in classes:
         if fault and fault[0] < first:
             break
@@ -149,24 +158,11 @@ def _evaluate(classes, cutoff: int, evaluate, violation) -> list:
                 if message:
                     fault = (d, message)
         if first <= cutoff:
-            values.append((degrees & below, value))
+            merged[value] = merged.get(value, 0) | degrees & below
     if fault:
         raise OracleError(fault[1])
-    return values
-
-
-def _spread(values) -> tuple[tuple[int, int], ...]:
-    """(degree, value) for every degree of every class with a nonzero
-    value, in order of degree."""
-    out = []
-    for degrees, value in values:
-        if value:
-            while degrees:
-                low = degrees & -degrees
-                out.append((low.bit_length() - 1, value))
-                degrees ^= low
-    out.sort()
-    return tuple(out)
+    return tuple(sorted((value, degrees)
+                        for value, degrees in merged.items() if value))
 
 
 class _MaskedRanks:
@@ -238,12 +234,11 @@ def relative_differential_dims(pres: Presentation) -> GradedDimensionLedger:
         valid = key & slots
         return valid.bit_count() - rows.rank(key >> n_slots, valid)
 
-    values = _evaluate(classes, cutoff, dimension, lambda dim, d: dim and (
+    by_value = _evaluate(classes, cutoff, dimension, lambda dim, d: dim and (
         f"cutoff violation: differential dimension {dim} at degree {d} "
         f"beyond {cutoff}"))
     return GradedDimensionLedger(
-        _spread(values), sum(dim * degrees.bit_count()
-                             for degrees, dim in values),
+        by_value, sum(dim * degrees.bit_count() for dim, degrees in by_value),
         cutoff, (cutoff, cutoff + width))
 
 
@@ -341,16 +336,15 @@ def torsion_length(S: NumericalSemigroup,
                 f"{first}")
         return contrib
 
-    values = _evaluate(classes, cutoff, contribution, lambda c, d: c and (
+    by_value = _evaluate(classes, cutoff, contribution, lambda c, d: c and (
         f"cutoff violation: torsion contribution {c} at degree {d} "
         f"beyond {cutoff}"))
-    contributions = _spread(values)
-    route_b = sum(c * degrees.bit_count() for degrees, c in values)
+    route_b = sum(c * degrees.bit_count() for c, degrees in by_value)
     if route_a != route_b:
         raise OracleError(
             f"oracle inconsistency: torsion {route_a} by dimension count "
             f"vs {route_b} by kernel count for {S}")
-    return TorsionResult(route_a, route_a, route_b, contributions)
+    return TorsionResult(route_a, route_a, route_b, by_value)
 
 
 @lru_cache(maxsize=None)
@@ -420,7 +414,7 @@ def relation_module_lengths(S: NumericalSemigroup,
         f"cutoff violation: relation modules not full at degree {d} beyond "
         f"{cutoff} for {S}"))
     totals = [0, 0, 0, 0]
-    for degrees, lengths in values:
+    for lengths, degrees in values:
         n = degrees.bit_count()
         for i in range(4):
             totals[i] += n * lengths[i]

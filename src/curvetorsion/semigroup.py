@@ -96,8 +96,9 @@ class NumericalSemigroup:
 
     @property
     def is_symmetric(self) -> bool:
-        f = self.frobenius
-        return all(self.contains(z) != self.contains(f - z) for z in range(f + 1))
+        # symmetric exactly when the conductor is twice the genus
+        # (Rosales and Garcia-Sanchez 2009, Cor. 4.5)
+        return self.conductor == 2 * self.genus
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NumericalSemigroup):

@@ -277,6 +277,10 @@ MUTANTS = [
            "S._members & ~(1 << (m + 1))",
            (T_SEMI + "test_enumeration_counts",
             T_SEMI + "test_enumerated_children_match_the_sieve")),
+    Mutant("symmetric at conductor 2g + 1", SEMIGROUP,
+           "return self.conductor == 2 * self.genus",
+           "return self.conductor == 2 * self.genus + 1",
+           (T_SEMI + "test_symmetry_matches_the_defining_loop",)),
     Mutant("integrality guard disabled", SEMIGROUP,
            " or any(int(v) != v for v in values)", "",
            (T_SEMI + "test_invalid_generators_raise",)),
@@ -326,6 +330,46 @@ MUTANTS = [
            """                if part == classes[k]:
                     pass""",
            (T_ORACLE + "test_degree_masks_match_the_naive_membership_test",)),
+    # each value's degrees merged into one int, zero values dropped
+    Mutant("equal values left unmerged", ORACLE,
+           """            merged[value] = merged.get(value, 0) | degrees & below
+    if fault:
+        raise OracleError(fault[1])
+    return tuple(sorted((value, degrees)
+                        for value, degrees in merged.items() if value))""",
+           """            merged[value, first] = degrees & below
+    if fault:
+        raise OracleError(fault[1])
+    return tuple(sorted((value, degrees)
+                        for (value, _), degrees in merged.items() if value))""",
+           (T_ORACLE + "test_differential_dimensions_pinned",
+            T_ORACLE + "test_torsion_pinned",
+            T_ORACLE + "test_graded_oracles_match_the_per_degree_references")),
+    Mutant("zero values kept", ORACLE,
+           "for value, degrees in merged.items() if value))",
+           "for value, degrees in merged.items()))",
+           (T_ORACLE + "test_differential_dimensions_pinned",
+            T_ORACLE + "test_torsion_pinned",
+            T_ORACLE + "test_graded_oracles_match_the_per_degree_references")),
+    Mutant("dimension reads bit d + 1", ORACLE,
+           "if degree >= 0 and degrees >> degree & 1), 0)",
+           "if degree >= 0 and degrees >> (degree + 1) & 1), 0)",
+           (T_ORACLE + "test_ledger_dimension_accessor",
+            T_ORACLE + "test_torsion_sits_inside_the_differential_module")),
+    # the rank helper against Bareiss elimination of the rows the test
+    # picks from the mask itself
+    Mutant("picked rows read one bit high", ORACLE,
+           "picked = [i for i in range(mask.bit_length()) if mask >> i & 1]",
+           "picked = [i for i in range(mask.bit_length()) "
+           "if mask >> (i + 1) & 1]",
+           (T_ORACLE + "test_masked_ranks_match_bareiss_through_genus_9",
+            T_PROPS + "test_masked_ranks_against_bareiss_on_any_rows")),
+    Mutant("one row's support left out of the union", ORACLE,
+           """            for i in picked:
+                support |= self._supports[i]""",
+           """            for i in picked[1:]:
+                support |= self._supports[i]""",
+           (T_PROPS + "test_masked_ranks_against_bareiss_on_any_rows",)),
     Mutant("original rows one degree off", ORACLE,
            "[(S, w + 2 * q) for w in resc_degrees]",
            "[(S, w + 2 * q - 1) for w in resc_degrees]",

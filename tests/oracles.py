@@ -597,6 +597,24 @@ def reference_present(items, ring, top: int) -> list[int]:
     return masks
 
 
+def per_degree(by_value) -> tuple[tuple[int, int], ...]:
+    """(degree, value) for every degree of a graded record's by_value, in
+    order of degree."""
+    return tuple(sorted((d, value) for value, degrees in by_value
+                        for d in range(degrees.bit_length())
+                        if degrees >> d & 1))
+
+
+def grouped_by_value(pairs) -> tuple[tuple[int, int], ...]:
+    """The (degree, value) pairs as a graded record's by_value: per
+    value, its degrees as one int, bit d for degree d, in order of
+    value."""
+    groups = {}
+    for d, value in pairs:
+        groups[value] = groups.get(value, 0) | 1 << d
+    return tuple(sorted(groups.items()))
+
+
 # The three graded oracles as they were before they ranked each distinct
 # degree key once: a loop over every degree up to cutoff + width, one rank
 # call per mask and degree.  They take their inputs (presentations,
@@ -605,7 +623,9 @@ def reference_present(items, ring, top: int) -> list[int]:
 # it in both; what they check is the evaluation on degree classes that
 # replaced the loops, and, since they build their rows by derivative_rows
 # and their degrees from the relations, Presentation.derivatives and
-# betti_degrees.
+# betti_degrees.  Each walk keeps its nonzero values degree by degree and
+# groups them by value at the end, so two results are equal exactly when
+# their per-degree maps are.
 
 def reference_relative_differential_dims(pres):
     from curvetorsion import oracle
@@ -621,7 +641,7 @@ def reference_relative_differential_dims(pres):
     slots = reference_present(tup.var_weights, ambient, top)
     active = reference_present([rel.degree for rel in pres.relations],
                                ambient, top)
-    per_degree = []
+    dims = []
     total = 0
     for d in range(top + 1):
         valid = slots[d]
@@ -632,9 +652,9 @@ def reference_relative_differential_dims(pres):
             raise oracle.OracleError(
                 f"cutoff violation: differential dimension {dim} at degree "
                 f"{d} beyond {cutoff}")
-        per_degree.append((d, dim))
+        dims.append((d, dim))
         total += dim
-    return oracle.GradedDimensionLedger(tuple(per_degree), total, cutoff,
+    return oracle.GradedDimensionLedger(grouped_by_value(dims), total, cutoff,
                                         (cutoff, cutoff + width))
 
 
@@ -676,7 +696,7 @@ def reference_torsion_route_b(S, reverse_tiebreak: bool = False):
             f"oracle inconsistency: torsion {route_a} by dimension count "
             f"vs {route_b} by kernel count for {S}")
     return oracle.TorsionResult(route_a, route_a, route_b,
-                                tuple(contributions))
+                                grouped_by_value(contributions))
 
 
 def reference_relation_module_lengths(S, reverse_tiebreak: bool = False):
@@ -759,6 +779,47 @@ def check_graded_oracles(curves) -> int:
             assert relation_module_lengths(S, tiebreak) == \
                 reference_relation_module_lengths(S, tiebreak), (S, tiebreak)
             compared += 4
+    return compared
+
+
+def check_masked_ranks(curves) -> int:
+    """Assert that every rank the graded oracles take from _MaskedRanks,
+    memo hits included, is bareiss_rank of the rows its mask picks,
+    restricted to its valid slots, with the rows picked here from the
+    mask.  The three oracles run past their caches on every curve, its
+    minimal and blowup presentations and both tie-breaks; returns the
+    number of ranks compared."""
+    from curvetorsion import oracle
+
+    real = oracle._MaskedRanks.rank
+    compared = 0
+
+    def checked(self, mask, valid):
+        nonlocal compared
+        rank = real(self, mask, valid)
+        # a memo of this check's own, per helper and request
+        known = self.__dict__.setdefault("bareiss_ranks", {})
+        if (mask, valid) not in known:
+            picked = [row for i, row in enumerate(self.vectors)
+                      if mask >> i & 1]
+            known[mask, valid] = bareiss_rank(
+                [[x for j, x in enumerate(row) if valid >> j & 1]
+                 for row in picked])
+        assert rank == known[mask, valid], (self.vectors, mask, valid)
+        compared += 1
+        return rank
+
+    oracle._MaskedRanks.rank = checked
+    try:
+        for S in curves:
+            for tiebreak in (False, True):
+                for pres in (oracle.presentation_of(S, tiebreak),
+                             oracle.blowup_presentation(S, tiebreak)):
+                    oracle.relative_differential_dims.__wrapped__(pres)
+                oracle.torsion_length.__wrapped__(S, tiebreak)
+                oracle.relation_module_lengths.__wrapped__(S, tiebreak)
+    finally:
+        oracle._MaskedRanks.rank = real
     return compared
 
 

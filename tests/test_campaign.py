@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import concurrent.futures
+import importlib
+import inspect
+import pkgutil
 
+import curvetorsion
 import curvetorsion.campaign
 from curvetorsion import (CampaignConfig, CampaignSummary, IdealError,
                           build_chain, from_generators, run_campaign)
@@ -149,3 +153,17 @@ def test_campaign_records_a_domain_error_and_goes_on(monkeypatch):
     code, out, _ = run_cli("verify", "--max-genus", "3")
     assert code == 1
     assert "oracle error on <3,5,7>: IdealError: injected" in out.splitlines()
+
+
+def test_every_package_exception_is_a_domain_error():
+    # _DOMAIN_ERRORS is kept by hand; an exception class missing from it
+    # would crash a sweep instead of being recorded on its curve
+    defined = set()
+    for info in pkgutil.iter_modules(curvetorsion.__path__):
+        module = importlib.import_module(f"curvetorsion.{info.name}")
+        defined |= {cls for _, cls in inspect.getmembers(module,
+                                                         inspect.isclass)
+                    if issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__}
+    assert IdealError in defined
+    assert defined <= set(curvetorsion.campaign._DOMAIN_ERRORS)

@@ -13,8 +13,10 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, OracleError,
                           relative_differential_dims, torsion_length)
 from curvetorsion import oracle
 from curvetorsion.oracle import _MaskedRanks, _degree_classes
-from oracles import (check_graded_oracles, large_conductor_generators,
-                     naive_present, reference_present,
+from oracles import (check_graded_oracles, check_masked_ranks,
+                     grouped_by_value,
+                     large_conductor_generators, naive_present, per_degree,
+                     reference_present,
                      reference_relation_module_lengths,
                      reference_relative_differential_dims,
                      reference_torsion_route_b)
@@ -36,11 +38,13 @@ DIFFERENTIAL_DIMS = {
 @pytest.mark.parametrize("gens", sorted(DIFFERENTIAL_DIMS))
 def test_differential_dimensions_pinned(gens):
     ledger = relative_differential_dims(presentation_of(from_generators(gens)))
-    total, per_degree = DIFFERENTIAL_DIMS[gens]
+    total, dims = DIFFERENTIAL_DIMS[gens]
     assert ledger.total == total
-    assert ledger.per_degree == per_degree
-    assert sum(d for _, d in per_degree) == total
-    assert max(d for d, _ in per_degree) <= ledger.cutoff
+    assert per_degree(ledger.by_value) == dims
+    # one pair per distinct dimension, in increasing order of dimension
+    assert ledger.by_value == grouped_by_value(dims)
+    assert sum(d for _, d in dims) == total
+    assert max(d for d, _ in dims) <= ledger.cutoff
     assert ledger.window == (ledger.cutoff, ledger.cutoff + max(gens))
 
 
@@ -50,11 +54,16 @@ def test_ledger_dimension_accessor():
     assert ledger.dimension(5) == 1
     assert ledger.dimension(4) == 0
     assert ledger.dimension(-1) == 0
+    S = from_generators((4, 6, 7))
+    ledger = relative_differential_dims(presentation_of(S))
+    for degree, dim in DIFFERENTIAL_DIMS[(4, 6, 7)][1]:
+        assert ledger.dimension(degree) == dim
+    assert ledger.dimension(12) == 0 and ledger.dimension(100) == 0
 
 
 def test_differential_dimensions_of_regular_curve():
     ledger = relative_differential_dims(presentation_of(from_generators((1,))))
-    assert ledger.total == 0 and ledger.per_degree == ()
+    assert ledger.total == 0 and ledger.by_value == ()
 
 
 # (generators) -> (torsion length, per-degree contributions)
@@ -78,13 +87,14 @@ def test_torsion_pinned(gens):
     length, contributions = TORSION[gens]
     assert result.length == length
     assert result.route_a == result.route_b == length
-    assert result.contributions == contributions
+    assert per_degree(result.by_value) == contributions
+    assert result.by_value == grouped_by_value(contributions)
     assert sum(c for _, c in contributions) == length
 
 
 def test_torsion_of_regular_curve_is_zero():
     result = torsion_length(from_generators((1,)))
-    assert result.length == 0 and result.contributions == ()
+    assert result.length == 0 and result.by_value == ()
 
 
 def test_torsion_is_memoized():
@@ -96,7 +106,7 @@ def test_torsion_sits_inside_the_differential_module():
     for gens in sorted(TORSION):
         S = from_generators(gens)
         ledger = relative_differential_dims(presentation_of(S))
-        for degree, dim in torsion_length(S).contributions:
+        for degree, dim in per_degree(torsion_length(S).by_value):
             assert dim <= ledger.dimension(degree)
 
 
@@ -149,8 +159,9 @@ def test_transform_differential_dimensions(gens):
     # by the blowup relations differentiated in the transformed variables
     ledger = relative_differential_dims(blowup_presentation(S))
     assert ledger.total == BLOWUP_DIM_TOTALS[gens]
-    assert sum(d for _, d in ledger.per_degree) == ledger.total
-    assert max(d for d, _ in ledger.per_degree) <= ledger.cutoff
+    dims = per_degree(ledger.by_value)
+    assert sum(d for _, d in dims) == ledger.total
+    assert max(d for d, _ in dims) <= ledger.cutoff
 
 
 def test_blowup_torsion_pinned():
@@ -277,6 +288,13 @@ def test_graded_oracles_match_the_per_degree_references():
     curves = list(enumerate_by_genus(7)) + [
         from_generators(g) for g in large_conductor_generators()]
     assert check_graded_oracles(curves) == 4 * 2 * len(curves)
+
+
+def test_masked_ranks_match_bareiss_through_genus_9():
+    # the per-degree walks rank through _MaskedRanks too; here every rank
+    # it hands the oracles is checked against Bareiss elimination, which
+    # shares no code with the package's echelon
+    assert check_masked_ranks(enumerate_by_genus(9)) > 0
 
 
 def test_differential_cutoff_violation_fires_on_a_planted_cutoff(

@@ -10,13 +10,15 @@ from __future__ import annotations
 
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvetorsion import (GeneratorTuple, Presentation, apery_set, blowup,
-                          complementary_module, dedekind_different,
-                          enumerate_by_genus, from_generators, full_report,
-                          inverse, minimal_presentation, presentation_of,
+from curvetorsion import (GeneratorTuple, OracleError, Presentation,
+                          apery_set, blowup, complementary_module,
+                          dedekind_different, enumerate_by_genus,
+                          from_generators, full_report, inverse,
+                          minimal_presentation, presentation_of,
                           relations_generate, value_set_of)
 from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
 from curvetorsion.oracle import _MaskedRanks, _span_values
@@ -102,6 +104,41 @@ def test_slot_rank_is_the_rank_of_the_restricted_matrix(matrix, valid, mask):
     # a second request is a memo hit and gives the same rank
     assert list(ranks._memo) == [mask]
     assert ranks.rank(mask, valid) == fraction_rank(restricted)
+
+
+# entries near zero, so a row is often zero in a slot and a picked row
+# is often the only one nonzero there
+sparse_matrices = st.integers(min_value=1, max_value=5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(st.integers(min_value=-2, max_value=2),
+                 min_size=ncols, max_size=ncols),
+        min_size=1, max_size=6))
+
+
+@given(sparse_matrices, st.integers(min_value=0, max_value=63),
+       st.lists(st.integers(min_value=0, max_value=31), min_size=1,
+                max_size=3))
+def test_masked_ranks_against_bareiss_on_any_rows(matrix, mask, valids):
+    # nonzero entries may sit in invalid slots: every request on one
+    # helper, the memo hits too, raises naming the lowest invalid slot
+    # where a picked row is nonzero and the first picked row's entry
+    # there, or is the Bareiss rank of the picked rows on the valid slots
+    ncols = len(matrix[0])
+    mask &= (1 << len(matrix)) - 1
+    picked = [row for i, row in enumerate(matrix) if mask >> i & 1]
+    ranks = _MaskedRanks(matrix)
+    for valid in valids:
+        bad = [(j, row[j]) for j in range(ncols) if not valid >> j & 1
+               for row in picked if row[j]]
+        if bad:
+            slot, coeff = bad[0]
+            with pytest.raises(OracleError, match=f"coefficient {coeff} in "
+                               f"invalid slot {slot}$"):
+                ranks.rank(mask, valid)
+        else:
+            assert ranks.rank(mask, valid) == bareiss_rank(
+                [[row[j] for j in range(ncols) if valid >> j & 1]
+                 for row in picked])
 
 
 @given(square_matrices)

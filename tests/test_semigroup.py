@@ -140,6 +140,16 @@ def test_symmetry_matches_frobenius_criterion():
         assert S.is_symmetric == (S.frobenius == 2 * S.genus - 1)
 
 
+def test_symmetry_matches_the_defining_loop():
+    # z is a member exactly when F - z is not, for every z in 0..F
+    curves = list(enumerate_by_genus(14))
+    assert len(curves) == 4107
+    for S in curves:
+        f = S.frobenius
+        assert S.is_symmetric == all(S.contains(z) != S.contains(f - z)
+                                     for z in range(f + 1)), S
+
+
 BLOWUPS = {
     (2, 3): ((1,), (2, 1), 1),
     (3, 4, 5): ((1,), (3, 1, 2), 2),
