@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .linalg import Echelon, integer_determinant
 from .presentation import Presentation
-from .semigroup import NumericalSemigroup, _set_bits, apery_set
+from .semigroup import NumericalSemigroup, _closure, _set_bits, apery_set
 
 
 class IdealError(ValueError):
@@ -110,25 +110,32 @@ def complementary_module(S: NumericalSemigroup) -> ValueSet:
     class mod q, of value w(c) = least member in class c.  The trace of
     t^j vanishes unless q divides j, so t^v lies in the dual exactly when
     v + m >= 0 for every member m in the class of -v; the sharpest m is
-    w((-v) mod q), giving the closed form v >= -w((-v) mod q).  Both the
-    closed form and the defining condition are evaluated on a window
-    around zero and compared, so neither route is trusted alone.  The
-    condition is read as: no member below u = -v is congruent to u, and
-    one upward walk over u with the residues seen so far decides it.
+    w((-v) mod q), giving the closed form v >= -w((-v) mod q).  Below 0
+    that is, per Apery entry w, the progression -w, -w + q, ... of
+    ceil(w / q) values, one mask.  Both the closed form and the defining
+    condition are evaluated on a window around zero and compared, so
+    neither route is trusted alone.  The condition is read as: no member
+    below u = -v is congruent to u.  u has one exactly when u - kq is a
+    member for some k >= 1, the members shifted up by q and closed under
+    +q; no u <= 0 has one.  That mask, read backwards, is the condition
+    on v, and it reads no Apery entry.
     """
     q = S.multiplicity
     apery = apery_set(S, q)
-    lo = -max(apery)
-    closed = sum(1 << (v - lo) for v in range(lo, 0) if v >= -apery[(-v) % q])
-    vs = make_value_set(S, lo, closed, 0)
+    top = max(apery)
+    closed = 0
+    for w in apery:
+        n = -(-w // q)
+        closed |= ((1 << q * n) - 1) // ((1 << q) - 1) << (top - w)
+    vs = make_value_set(S, -top, closed, 0)
     window = q + S.conductor
-    seen = direct = 0  # residues of the members below u; bit v + window
-    for u in range(1 - window, window + 1):
-        if not seen >> (u % q) & 1:
-            direct |= 1 << (window - u)
-        if S.contains(u):
-            seen |= 1 << (u % q)
-    wrong = direct ^ vs.mask(-window, window)
+    # bit u, u <= window, when a member below u lies in its class
+    below = _closure(S.members_mask(window - q) << q, q, window)
+    # the u in 1..window without one, read backwards to bit v + window
+    # for v = -u, and every v >= 0
+    free = ~below & ((1 << (window + 1)) - 2)
+    direct = int(f"{free:0{window + 1}b}"[::-1], 2) | -(1 << window)
+    wrong = (direct ^ vs.mask(-window, window)) & ((1 << 2 * window) - 1)
     if wrong:
         v = (wrong & -wrong).bit_length() - 1 - window
         raise IdealError(f"complementary module self-check failed at {v}")
@@ -189,9 +196,11 @@ def _greedy_basis(pres: Presentation) -> tuple[list, int]:
     return rows, total
 
 
+@lru_cache(maxsize=None)
 def least_minor_degree(pres: Presentation) -> int:
     """Least degree of a nonvanishing maximal minor of the derivative
-    matrix, the least value of its Fitting ideal."""
+    matrix, the least value of its Fitting ideal.  Memoized: the graded
+    oracles read it for every cutoff, one int per presentation."""
     return _greedy_basis(pres)[1] - sum(pres.gen_tuple.var_weights)
 
 

@@ -1,8 +1,9 @@
 """Exact linear algebra over the integers.
 
 All graded ranks in this package are ranks of small integer matrices,
-and one fraction-free elimination, Echelon, computes them all, so there
-is no floating point anywhere.
+and one fraction-free elimination loop, _reduce, computes them all, for
+integer_rank on a plain list and for Echelon, so there is no floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -11,18 +12,39 @@ from math import gcd
 from typing import Iterable, Sequence
 
 
+def _reduce(rows: list, vecs: Iterable[Sequence[int]]) -> None:
+    """Reduce each of vecs against the (pivot column, row) pairs of rows
+    and append what survives, made primitive, in place; stop reading vecs
+    once the rank equals the row width, since no later row can raise it.
+    A row that needs no reduction is stored as given, not copied."""
+    for vec in vecs:
+        if len(rows) == len(vec):
+            return
+        v = vec
+        for pivot, row in rows:
+            f = v[pivot]
+            if f:
+                p = row[pivot]
+                v = [p * a - f * b for a, b in zip(v, row)]
+        for pivot, a in enumerate(v):
+            if a:
+                g = gcd(*v)
+                rows.append((pivot, v if g == 1 else [a // g for a in v]))
+                break
+
+
 class Echelon:
     """Linearly independent integer rows in echelon form, grown one at a time.
 
     Each stored row is primitive (its entries have gcd 1) and is zero in
     the pivot column of every row stored before it, so a candidate row is
-    reduced against all of them in one pass and is independent exactly
-    when something survives.  absorb returns a new Echelon.
+    reduced against all of them in one pass (_reduce) and is independent
+    exactly when something survives.  absorb returns a new Echelon.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple[tuple[int, tuple[int, ...]], ...] = ()):
+    def __init__(self, rows: tuple[tuple[int, Sequence[int]], ...] = ()):
         self.rows = rows  # (pivot column, row) pairs
 
     @property
@@ -30,24 +52,9 @@ class Echelon:
         return len(self.rows)
 
     def absorb(self, vecs: Iterable[Sequence[int]]) -> Echelon:
-        """The echelon of these rows and vecs; it stops reading vecs once
-        the rank equals the row width, since no later row can raise it."""
+        """The echelon of these rows and vecs."""
         rows = list(self.rows)
-        for vec in vecs:
-            if len(rows) == len(vec):
-                break
-            v = vec
-            for pivot, row in rows:
-                f = v[pivot]
-                if f:
-                    p = row[pivot]
-                    v = [p * a - f * b for a, b in zip(v, row)]
-            for pivot, a in enumerate(v):
-                if a:
-                    g = gcd(*v)
-                    rows.append((pivot, tuple(v) if g == 1
-                                 else tuple([a // g for a in v])))
-                    break
+        _reduce(rows, vecs)
         return Echelon(tuple(rows))
 
 
@@ -57,7 +64,9 @@ def integer_rank(rows: Sequence[Sequence[int]]) -> int:
         return 0
     if len(rows) > len(rows[0]):  # fewer, longer vectors: faster
         rows = list(zip(*rows))
-    return Echelon().absorb(rows).rank
+    echelon: list = []
+    _reduce(echelon, rows)
+    return len(echelon)
 
 
 def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:

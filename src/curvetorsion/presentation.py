@@ -17,11 +17,10 @@ factorizations, and those are built greedily, one coordinate at a time,
 against the sums the component's later weights can still reach.
 
 The generation check, relations_generate, is the second route that
-confirms a presentation generates.  It lists no factorization either: a
-knapsack over the weights gives, per degree, the mask of the positions
-its factorizations use, and the R-classes are merged from those k-bit
-masks without reading S.  The masks are the neighbourhoods of G_d that
-minimal_presentation reads from S, derived here from the weights alone.
+confirms a presentation generates.  It lists no factorization either:
+the sums of the weights, a fixpoint over the weights alone, give the
+vertex and edge masks of G_d for every degree at once, and their
+bit-sliced transitive closure gives the R-classes without reading S.
 """
 
 from __future__ import annotations
@@ -208,21 +207,43 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
     return Presentation(gen_tuple, tuple(relations))
 
 
-def _used_positions(weights: tuple[int, ...], top: int) -> list[int]:
-    """used[d] for d = 0..top: bit p is set when some factorization of
-    degree d has a nonzero exponent at position p, that is, when d - w_p
-    is 0 or has a factorization.  A knapsack over the weights alone; the
-    degrees run on the outside, so every lower degree is complete before
-    any position reads it."""
-    used = [0] * (top + 1)
-    bits = [(1 << p, w) for p, w in enumerate(weights)]
-    for d in range(1, top + 1):
-        mask = 0
-        for bit, w in bits:
-            if w == d or w < d and used[d - w]:
-                mask |= bit
-        used[d] = mask
-    return used
+def _weight_monoid(weights: tuple[int, ...], top: int) -> int:
+    """The sums of the weights up to top, 0 included, as a bitmask: a
+    fixpoint of ORing in the mask shifted by each weight and its
+    doublings, read off the weights alone."""
+    full = (1 << (top + 1)) - 1
+    sums, grown = 0, 1
+    while grown != sums:
+        sums = grown
+        for w in weights:
+            while w <= top:
+                grown |= grown << w & full
+                w <<= 1
+    return sums
+
+
+def _joined(weights: tuple[int, ...], top: int) -> list[list[int]]:
+    """joined[p][r] has bit d, d <= top, when positions p and r lie in
+    one R-class of degree d; joined[p][p] has it when p is used there.
+
+    With N the sums of the weights (_weight_monoid), p is used in degree
+    d when d - w_p is in N, and p and r share a factorization there when
+    d - w_p - w_r is.  Those masks, N << w_p and N << (w_p + w_r), are the
+    vertices and edges of G_d for every degree d at once; the R-classes
+    are its components, the bit-sliced transitive closure of the edges
+    (Warshall, k^3 ANDs and ORs on whole masks).
+    """
+    sums = _weight_monoid(weights, top)
+    full = (1 << (top + 1)) - 1
+    joined = [[sums << (w + v) & full for v in weights] for w in weights]
+    for p, w in enumerate(weights):
+        joined[p][p] = sums << w & full
+    for m, via in enumerate(joined):
+        for row in joined:
+            hop = row[m]
+            if hop and row is not via:
+                row[:] = [to | hop & step for to, step in zip(row, via)]
+    return joined
 
 
 def _support(vec: tuple[int, ...]) -> int:
@@ -247,27 +268,26 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
 
     For every degree up to the Betti bound (plus extra_degrees), the graph
     on factorizations whose edges are relation translates must be
-    connected.  It is checked degree by degree, ascending, on R-classes
-    (Herzog, Manuscripta Math. 3, 1970; Rosales and Garcia-Sanchez 2009,
-    ch. 7).  While every lower degree is connected, the factorizations of
-    degree d that use generator i are e_i plus those of d - w_i, so they
-    are connected; and a translate with a nonzero cofactor c stays among
-    the factorizations that use a generator of c.  So degree d is
-    connected exactly when its relations of degree d join its R-classes.
-    Every factorization that uses p is e_p plus one of degree d - w_p, so
-    the R-class of p holds p and every position in used[d - w_p]
-    (_used_positions): merging those k-bit masks for each p in used[d]
-    gives the same classes as merging the support of every factorization.
+    connected.  It is checked on R-classes (Herzog, Manuscripta Math. 3,
+    1970; Rosales and Garcia-Sanchez 2009, ch. 7).  While every lower
+    degree is connected, the factorizations of degree d that use
+    generator i are e_i plus those of d - w_i, so they are connected; and
+    a translate with a nonzero cofactor c stays among the factorizations
+    that use a generator of c.  So degree d is connected exactly when its
+    relations of degree d join its R-classes, and the relations generate
+    exactly when that holds in every degree.  _joined gives the R-classes
+    of every degree at once; only a degree where two used positions stay
+    apart merges its classes with its relations' supports, in Python.
 
-    No factorization is listed and the members of S are not read.  Said
-    plainly: used[d] and used[d - w_p] are the vertices of G_d and the
-    neighbours of p in it, the sets minimal_presentation reads from the
-    membership bitmask of S; here a knapsack derives them from the
-    weights alone, so the two routes share the graph but not the way it
-    is computed.
+    No factorization is listed and the members of S are not read: the
+    graphs G_d are the ones minimal_presentation reads from the
+    membership bitmask of S, derived here from the weights alone, and so
+    is the Betti bound, from Schur's bound (q - 1)(max - 1) on the
+    conductor (Brauer, Amer. J. Math. 64, 1942), so the two routes share
+    the graph but not the way it is computed.
 
-    A relation whose sides are not of its labelled degree raises
-    PresentationError.
+    A relation whose sides are not of its labelled degree, or weights
+    with a common factor, raise PresentationError.
     """
     weights = pres.gen_tuple.weights
     joins: dict[int, list[int]] = {}
@@ -279,18 +299,31 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
                 f"{rel.degree} over the weights {weights}")
         joins.setdefault(rel.degree, []).append(
             _support(rel.lhs) | _support(rel.rhs))
-    top = betti_degree_bound(pres.gen_tuple) + extra_degrees
-    used = _used_positions(weights, top)
-    for d, x in enumerate(used):
-        if not x & (x - 1):
-            continue
+    q, big = min(weights), max(weights)
+    schur = (q - 1) * (big - 1)
+    top = schur + q - 1
+    conductor = (~_weight_monoid(weights, top) & ((1 << (top + 1)) - 1)
+                 ).bit_length()
+    if conductor > schur:
+        raise PresentationError(f"the weights {weights} have a common factor")
+    top = conductor + 2 * big + extra_degrees
+    joined = _joined(weights, top)
+    apart = 0
+    for p, row in enumerate(joined):
+        for r in range(p + 1, len(row)):
+            apart |= row[p] & joined[r][r] & ~row[r]
+    while apart:
+        d = (apart & -apart).bit_length() - 1
+        apart &= apart - 1
         comps: list[int] = []
-        while x:
-            low = x & -x
-            x ^= low
-            _merge(comps, low | used[d - weights[low.bit_length() - 1]])
-        for joined in joins.get(d, ()):
-            _merge(comps, joined)
+        left = sum(1 << p for p, row in enumerate(joined) if row[p] >> d & 1)
+        while left:
+            row = joined[(left & -left).bit_length() - 1]
+            comps.append(sum(1 << r for r, to in enumerate(row)
+                             if to >> d & 1))
+            left &= ~comps[-1]
+        for joined_by in joins.get(d, ()):
+            _merge(comps, joined_by)
         if len(comps) > 1:
             return False
     return True

@@ -65,26 +65,22 @@ T_MINIMAL = (
 T_SPAN = T_PROPS + "test_span_values_of_any_semigroup_and_bound"
 
 MUTANTS = [
-    # the generation check on k-bit masks of used positions
-    Mutant("knapsack with the positions outside", PRES,
-           """    for d in range(1, top + 1):
-        mask = 0
-        for bit, w in bits:
-            if w == d or w < d and used[d - w]:
-                mask |= bit
-        used[d] = mask
-""",
-           """    for bit, w in bits:
-        for d in range(w, top + 1):
-            if d == w or used[d - w]:
-                used[d] |= bit
-""",
+    # the generation check on bit-sliced masks over every degree at once
+    Mutant("weight sums start at their fixpoint", PRES,
+           "    sums, grown = 0, 1\n", "    sums, grown = 1, 1\n",
            (T_PRES + "test_support_sets_match_brute_force",
             T_PROPS + "test_support_sets_of_any_weight_tuple")),
-    Mutant("merge without the position itself", PRES,
-           "_merge(comps, low | used[d - weights[low.bit_length() - 1]])",
-           "_merge(comps, used[d - weights[low.bit_length() - 1]])",
+    Mutant("used positions left as the doubled-weight edge", PRES,
+           """    for p, w in enumerate(weights):
+        joined[p][p] = sums << w & full
+""", "",
            (T_PRES + "test_generation_check_matches_the_tuple_reference",)),
+    Mutant("transitive step through the last position dropped", PRES,
+           "    for m, via in enumerate(joined):",
+           "    for m, via in enumerate(joined[:-1]):",
+           (T_PRES + "test_support_sets_match_brute_force",
+            T_PROPS + "test_support_sets_of_any_weight_tuple",
+            T_PRES + "test_generation_check_matches_the_tuple_reference")),
     # the Kaehler different read off one Cauchy-Binet determinant
     Mutant("read-out stops at the first zero digit", IDEALS,
            """            covered |= S.members_mask(limit - 1 - t) << t
@@ -206,8 +202,11 @@ MUTANTS = [
            "return S.members_mask(bound) >> 1",
            "return S.members_mask(bound - 1) >> 1", (T_VALUES,)),
     Mutant("trace dual self-check bit off by one", IDEALS,
-           "direct |= 1 << (window - u)",
-           "direct |= 1 << (window - u + 1)",
+           'int(f"{free:0{window + 1}b}"[::-1], 2)',
+           'int(f"{free:0{window + 2}b}"[::-1], 2)',
+           (T_VALUES, T_IDEALS + "test_complementary_module_pinned")),
+    Mutant("residue progression one short", IDEALS,
+           "n = -(-w // q)", "n = -(-w // q) - 1",
            (T_VALUES, T_IDEALS + "test_complementary_module_pinned")),
     Mutant("inverse shift off by one", IDEALS,
            "fits &= ring >> (lo + lo_v + low.bit_length() - 1)",
@@ -359,17 +358,23 @@ MUTANTS = [
     # the rank helper against Bareiss elimination of the rows the test
     # picks from the mask itself
     Mutant("picked rows read one bit high", ORACLE,
-           "picked = [i for i in range(mask.bit_length()) if mask >> i & 1]",
-           "picked = [i for i in range(mask.bit_length()) "
-           "if mask >> (i + 1) & 1]",
+           "picked.append(self.vectors[i])",
+           "picked.append(self.vectors[i + 1])",
            (T_ORACLE + "test_masked_ranks_match_bareiss_through_genus_9",
             T_PROPS + "test_masked_ranks_against_bareiss_on_any_rows")),
     Mutant("one row's support left out of the union", ORACLE,
-           """            for i in picked:
-                support |= self._supports[i]""",
-           """            for i in picked[1:]:
-                support |= self._supports[i]""",
+           "support |= self._supports[i]",
+           "support |= self._supports[i] if rest != mask else 0",
            (T_PROPS + "test_masked_ranks_against_bareiss_on_any_rows",)),
+    Mutant("one-row shortcut counts a zero-support row", ORACLE,
+           "rank = 1 if support else 0",
+           "rank = 1 if mask else 0",
+           (T_ORACLE + "test_masked_ranks_decide_one_row_or_one_column_"
+            "from_the_supports",)),
+    Mutant("class slot check on the joint mask only", ORACLE,
+           "rows.rank(over_s1 | resc | orig, valid)",
+           "rows.rank(over_s1, valid)",
+           (T_ORACLE + "test_relation_module_slot_check_covers_every_mask",)),
     Mutant("original rows one degree off", ORACLE,
            "[(S, w + 2 * q) for w in resc_degrees]",
            "[(S, w + 2 * q - 1) for w in resc_degrees]",
@@ -406,9 +411,12 @@ def _cap_memory() -> None:
 def _pytest(where: Path, tests) -> tuple[int, set[str], str]:
     """Exit code, failed node ids and output of pytest on the tests."""
     env = dict(os.environ, PYTHONPATH=str(where / "src"))
+    # no hypothesis plugin: on a failing example it imports libcst to
+    # print a patch, and near the memory cap that import raised
+    # MemoryError inside pytest, which exited 3 with the tests failed
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rfE", "--tb=no",
-         "-p", "no:cacheprovider", *tests],
+         "-p", "no:cacheprovider", "-p", "no:hypothesispytest", *tests],
         cwd=where, env=env, capture_output=True, text=True,
         preexec_fn=_cap_memory)
     failed = {line.split()[1] for line in proc.stdout.splitlines()

@@ -7,10 +7,12 @@ graded oracles, which take their inputs from the package and keep only
 the degree loops that the evaluation on degree classes replaced (their
 derivative rows they build from the relations, by derivative_rows), the
 pruned minor search that the Kaehler different's determinant replaced,
-which grows the package's Echelon one row at a time, value_set and
-values_up_to, which build a value set from a list of values and list
-one, the check_ functions that compare the package with these
-references, and run_cli.
+which grows the package's Echelon one row at a time, the two routes
+that the whole-mask self-checks replaced, merge_relations_generate on
+the package's Betti bound and walk_complementary_module on its Apery
+set and value sets, value_set and values_up_to, which build a value set
+from a list of values and list one, the check_ functions that compare
+the package with these references, and run_cli.
 """
 
 from __future__ import annotations
@@ -209,6 +211,84 @@ def used_positions(weights, top: int) -> list[int]:
     return out
 
 
+def joined_positions(weights, top: int) -> list[list[int]]:
+    """joined[p][r] has bit d, d <= top, when positions p and r lie in one
+    component of the shared-support graph on the brute-force
+    factorizations of degree d; joined[p][p] has it when some
+    factorization of degree d uses p."""
+    k = len(weights)
+    joined = [[0] * k for _ in range(k)]
+    for d in range(1, top + 1):
+        facs = naive_factorizations(tuple(weights), d)
+        for comp in _support_components(facs) if facs else ():
+            support = [p for p in range(k) if any(f[p] for f in comp)]
+            for p in support:
+                for r in support:
+                    joined[p][r] |= 1 << d
+    return joined
+
+
+def knapsack_used_positions(weights, top: int) -> list[int]:
+    """used[d] for d = 0..top: bit p is set when d - w_p is 0 or has a
+    factorization.  The knapsack over the weights that the generation
+    check read before it took whole masks; the degrees run on the
+    outside, so every lower degree is complete before any position reads
+    it."""
+    used = [0] * (top + 1)
+    bits = [(1 << p, w) for p, w in enumerate(weights)]
+    for d in range(1, top + 1):
+        mask = 0
+        for bit, w in bits:
+            if w == d or w < d and used[d - w]:
+                mask |= bit
+        used[d] = mask
+    return used
+
+
+def merge_relations_generate(pres, extra_degrees: int = 0) -> bool:
+    """The generation check as it was before it took whole masks: per
+    degree up to the package's Betti bound, the R-class of each used
+    position p is p and the positions of used[d - w_p] (the knapsack
+    above), merged one k-bit mask at a time, then merged with the
+    supports of that degree's relations.  The relations generate when no
+    degree keeps two classes."""
+    from curvetorsion import betti_degree_bound
+
+    def support(vec):
+        return sum(1 << p for p, e in enumerate(vec) if e)
+
+    def merge(comps, joined):
+        kept = []
+        for c in comps:
+            if c & joined:
+                joined |= c
+            else:
+                kept.append(c)
+        kept.append(joined)
+        comps[:] = kept
+
+    weights = pres.gen_tuple.weights
+    joins: dict[int, list[int]] = {}
+    for rel in pres.relations:
+        joins.setdefault(rel.degree, []).append(support(rel.lhs)
+                                                | support(rel.rhs))
+    top = betti_degree_bound(pres.gen_tuple) + extra_degrees
+    used = knapsack_used_positions(weights, top)
+    for d, x in enumerate(used):
+        if not x & (x - 1):
+            continue
+        comps: list[int] = []
+        while x:
+            low = x & -x
+            x ^= low
+            merge(comps, low | used[d - weights[low.bit_length() - 1]])
+        for joined in joins.get(d, ()):
+            merge(comps, joined)
+        if len(comps) > 1:
+            return False
+    return True
+
+
 def _factorization_table(weights, top: int):
     """Exponent vectors of each weighted degree 0..top, lexicographically,
     built bottom-up over the suffixes of the weights."""
@@ -398,6 +478,33 @@ def reference_complementary_module(generators) -> tuple[tuple[int, ...], int]:
         if direct != (v >= values[1] or v in values[0]):
             raise ValueError(f"complementary module self-check failed at {v}")
     return values
+
+
+def walk_complementary_module(S):
+    """The trace dual as the package computed it before it read whole
+    masks: the closed form v >= -w((-v) mod q) over the Apery set w, one
+    value at a time, checked on the window [-window, window) by one
+    upward walk over u = -v that keeps the residues of the members below
+    u.  Raises ValueError when the two disagree."""
+    from curvetorsion import apery_set, make_value_set
+
+    q = S.multiplicity
+    apery = apery_set(S, q)
+    lo = -max(apery)
+    closed = sum(1 << (v - lo) for v in range(lo, 0) if v >= -apery[(-v) % q])
+    vs = make_value_set(S, lo, closed, 0)
+    window = q + S.conductor
+    seen = direct = 0  # residues of the members below u; bit v + window
+    for u in range(1 - window, window + 1):
+        if not seen >> (u % q) & 1:
+            direct |= 1 << (window - u)
+        if S.contains(u):
+            seen |= 1 << (u % q)
+    wrong = direct ^ vs.mask(-window, window)
+    if wrong:
+        v = (wrong & -wrong).bit_length() - 1 - window
+        raise ValueError(f"complementary module self-check failed at {v}")
+    return vs
 
 
 def reference_inverse(generators, value_set) -> tuple[tuple[int, ...], int]:
@@ -784,32 +891,40 @@ def check_graded_oracles(curves) -> int:
 
 def check_masked_ranks(curves) -> int:
     """Assert that every rank the graded oracles take from _MaskedRanks,
-    memo hits included, is bareiss_rank of the rows its mask picks,
-    restricted to its valid slots, with the rows picked here from the
-    mask.  The three oracles run past their caches on every curve, its
+    memo hits included, is bareiss_rank of the rows its mask picks, with
+    the rows picked here from the mask: restricted to its valid slots for
+    rank, and at full width for the unchecked read, whose rows a checked
+    mask of the same degree holds, so every invalid column of theirs is
+    zero.  The three oracles run past their caches on every curve, its
     minimal and blowup presentations and both tie-breaks; returns the
-    number of ranks compared."""
+    number of ranks compared.  Torsion route a reads the memoized ledger,
+    which is emptied first, so the count does not depend on what ran
+    before."""
     from curvetorsion import oracle
 
-    real = oracle._MaskedRanks.rank
+    oracle.relative_differential_dims.cache_clear()
+    real_rank, real_read = oracle._MaskedRanks.rank, oracle._MaskedRanks.read
     compared = 0
 
-    def checked(self, mask, valid):
+    def compare(self, rank, mask, valid):
         nonlocal compared
-        rank = real(self, mask, valid)
         # a memo of this check's own, per helper and request
         known = self.__dict__.setdefault("bareiss_ranks", {})
         if (mask, valid) not in known:
             picked = [row for i, row in enumerate(self.vectors)
                       if mask >> i & 1]
+            keep = -1 if valid is None else valid
             known[mask, valid] = bareiss_rank(
-                [[x for j, x in enumerate(row) if valid >> j & 1]
+                [[x for j, x in enumerate(row) if keep >> j & 1]
                  for row in picked])
         assert rank == known[mask, valid], (self.vectors, mask, valid)
         compared += 1
         return rank
 
-    oracle._MaskedRanks.rank = checked
+    oracle._MaskedRanks.rank = lambda self, mask, valid: compare(
+        self, real_rank(self, mask, valid), mask, valid)
+    oracle._MaskedRanks.read = lambda self, mask: compare(
+        self, real_read(self, mask), mask, None)
     try:
         for S in curves:
             for tiebreak in (False, True):
@@ -819,7 +934,8 @@ def check_masked_ranks(curves) -> int:
                 oracle.torsion_length.__wrapped__(S, tiebreak)
                 oracle.relation_module_lengths.__wrapped__(S, tiebreak)
     finally:
-        oracle._MaskedRanks.rank = real
+        oracle._MaskedRanks.rank, oracle._MaskedRanks.read = \
+            real_rank, real_read
     return compared
 
 
@@ -877,12 +993,13 @@ def check_value_sets(curves) -> int:
 
 
 def check_relations_generate(curves, whole: bool = True, dropped: bool = True,
-                             extras=(0,)) -> int:
-    """Assert that relations_generate equals reference_relations_generate
-    on the distinct minimal and blowup presentations of the curves under
-    both tie-breaks, for each count of extra degrees: whole, where each
-    must generate, and with each relation dropped, where none may; returns
-    the number of comparisons made."""
+                             extras=(0,),
+                             reference=reference_relations_generate) -> int:
+    """Assert that relations_generate equals the reference, by default
+    reference_relations_generate, on the distinct minimal and blowup
+    presentations of the curves under both tie-breaks, for each count of
+    extra degrees: whole, where each must generate, and with each relation
+    dropped, where none may; returns the number of comparisons made."""
     from curvetorsion import (Presentation, blowup_presentation,
                               presentation_of, relations_generate)
 
@@ -901,10 +1018,23 @@ def check_relations_generate(curves, whole: bool = True, dropped: bool = True,
         for variant in variants:
             for extra in extras:
                 got = relations_generate(variant, extra)
-                assert got == reference_relations_generate(variant, extra), \
-                    (variant, extra)
+                assert got == reference(variant, extra), (variant, extra)
                 assert got == (variant is pres), (variant, extra)
                 compared += 1
+    return compared
+
+
+def check_trace_duals(curves) -> int:
+    """Assert that complementary_module, past its cache, equals
+    walk_complementary_module on every curve; returns the number of
+    curves compared."""
+    from curvetorsion import complementary_module
+
+    compared = 0
+    for S in curves:
+        assert complementary_module.__wrapped__(S) == \
+            walk_complementary_module(S), S
+        compared += 1
     return compared
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import curvetorsion
 from curvetorsion import (different_inverse_gap, from_generators, full_report,
-                          kaehler_different)
+                          kaehler_different, least_minor_degree)
 from oracles import run_cli
 
 GOLDEN = json.loads(
@@ -88,6 +88,7 @@ def test_human_rendering_reads_only_the_record(monkeypatch):
     # so that a recomputation at render time reaches the tripwire below
     kaehler_different.cache_clear()
     different_inverse_gap.cache_clear()
+    least_minor_degree.cache_clear()
 
     def no_minor_search(pres):
         raise AssertionError("minor search at render time")

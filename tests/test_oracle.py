@@ -231,6 +231,23 @@ def test_slot_guard_fires_on_a_memo_hit():
     assert rows.rank(0b01, 0b01) == 1
 
 
+def test_masked_ranks_decide_one_row_or_one_column_from_the_supports(
+        monkeypatch):
+    # no elimination for a mask of at most one row, or whose rows are
+    # nonzero in one column only: rank 1 unless every picked entry is zero
+    def no_elimination(rows):
+        raise AssertionError("eliminated a one-row or one-column mask")
+
+    rows = _MaskedRanks([(0, 0), (3, 0), (0, 0), (-2, 0), (1, 1)])
+    monkeypatch.setattr(oracle, "integer_rank", no_elimination)
+    assert [rows.rank(mask, 0b11) for mask in (0, 0b1, 0b101, 0b10, 0b1010,
+                                                0b1110, 0b10000)] == \
+        [0, 0, 0, 1, 1, 1, 1]
+    assert rows.read(0b101) == 0
+    monkeypatch.undo()
+    assert rows.rank(0b10010, 0b11) == 2
+
+
 def _raised(fn, *args) -> str:
     """The message of the OracleError that fn(*args) raises."""
     with pytest.raises(OracleError) as info:
@@ -281,6 +298,21 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
     assert lengths(S) == relation_module_lengths(S)
 
 
+def test_relation_module_slot_check_covers_every_mask(monkeypatch):
+    # the class's one slot check runs on the union of its five masks, not
+    # only on the joint one: plant the original module's rows in every
+    # degree from 0 on, where the joint mask lacks them and no slot is
+    # valid, and the check must name their slot before any rank is read
+    S = from_generators((4, 6, 7))
+    m = presentation_of(S).mu
+    real = oracle._degree_classes
+    everywhere = from_generators((1,))
+    monkeypatch.setattr(oracle, "_degree_classes", lambda items, top: real(
+        items[:-m] + [(everywhere, 0)] * m, top))
+    assert _raised(relation_module_lengths.__wrapped__, S) == \
+        "derivative row has coefficient 2 in invalid slot 0"
+
+
 def test_graded_oracles_match_the_per_degree_references():
     # one evaluation per distinct degree key against the walk over every
     # degree it replaced, on every minimal and blowup presentation through
@@ -292,9 +324,9 @@ def test_graded_oracles_match_the_per_degree_references():
 
 def test_masked_ranks_match_bareiss_through_genus_9():
     # the per-degree walks rank through _MaskedRanks too; here every rank
-    # it hands the oracles is checked against Bareiss elimination, which
-    # shares no code with the package's echelon
-    assert check_masked_ranks(enumerate_by_genus(9)) > 0
+    # it hands the oracles, checked or read unchecked, is compared with
+    # Bareiss elimination, which shares no code with the package's echelon
+    assert check_masked_ranks(enumerate_by_genus(9)) == 143122
 
 
 def test_differential_cutoff_violation_fires_on_a_planted_cutoff(

@@ -10,8 +10,9 @@ from curvetorsion import (BinomialRelation, GeneratorTuple, Presentation,
                           enumerate_by_genus, from_generators,
                           minimal_presentation, presentation_of,
                           relations_generate, rescaled_relation_generators)
-from curvetorsion.presentation import _used_positions
+from curvetorsion.presentation import _joined
 from oracles import (_factorization_table, check_relations_generate,
+                     joined_positions, knapsack_used_positions,
                      large_conductor_generators, naive_factorizations,
                      reference_minimal_presentation, used_positions)
 
@@ -87,6 +88,13 @@ def test_mislabelled_relation_degree_is_rejected():
             relations_generate(bad)
 
 
+def test_generation_check_rejects_weights_with_a_common_factor():
+    # the check reads its Betti bound off the weights' own sums, and
+    # Schur's bound on the conductor needs gcd 1
+    with pytest.raises(PresentationError, match="common factor"):
+        relations_generate(Presentation(GeneratorTuple((4, 6)), ()))
+
+
 def test_factorizations():
     # the reference table of tests/oracles.py, which the original minimal
     # presentation still lists
@@ -123,13 +131,18 @@ def test_factorization_table_matches_brute_force():
 
 
 def test_support_sets_match_brute_force():
-    # the knapsack behind the generation check against the union of the
-    # supports of brute-force factorizations, three degrees past the Betti
-    # bound
+    # the bit-sliced masks behind the generation check against the
+    # R-classes of the brute-force factorizations, three degrees past the
+    # Betti bound; the used positions, the diagonal, also against the
+    # union of the supports and against the knapsack they replaced
     for weights in _small_tuples():
         top = betti_degree_bound(GeneratorTuple(weights)) + 3
-        assert _used_positions(weights, top) == used_positions(weights, top), \
-            weights
+        joined = _joined(weights, top)
+        assert joined == joined_positions(weights, top), weights
+        used = [sum(1 << p for p, row in enumerate(joined) if row[p] >> d & 1)
+                for d in range(top + 1)]
+        assert used == used_positions(weights, top) \
+            == knapsack_used_positions(weights, top), weights
 
 
 def test_generation_check_matches_the_tuple_reference():

@@ -22,10 +22,10 @@ from curvetorsion import (GeneratorTuple, OracleError, Presentation,
                           relations_generate, value_set_of)
 from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
 from curvetorsion.oracle import _MaskedRanks, _span_values
-from curvetorsion.presentation import _used_positions
+from curvetorsion.presentation import _joined
 from oracles import (bareiss_determinant, bareiss_rank, echelon_extend,
-                     fraction_determinant, fraction_rank, naive_conductor,
-                     naive_members, reference_inverse,
+                     fraction_determinant, fraction_rank, joined_positions,
+                     naive_conductor, naive_members, reference_inverse,
                      reference_minimal_presentation, reference_span_values,
                      used_positions, value_set, values_up_to)
 
@@ -239,9 +239,11 @@ def test_minimal_presentation_of_any_weight_tuple(weights):
 @settings(deadline=None, max_examples=100)
 @given(weight_tuples, st.integers(min_value=0, max_value=20))
 def test_support_sets_of_any_weight_tuple(weights, top):
-    # no coprimality needed: the knapsack reads only the weights
-    assert _used_positions(tuple(weights), top) == \
-        used_positions(weights, top)
+    # no coprimality needed: the masks read only the weights
+    joined = _joined(tuple(weights), top)
+    assert joined == joined_positions(weights, top)
+    assert [sum(1 << p for p, row in enumerate(joined) if row[p] >> d & 1)
+            for d in range(top + 1)] == used_positions(weights, top)
 
 
 CORPUS_GENUS = 6

@@ -135,11 +135,6 @@ def test_apery_invalid_modulus():
         apery_set(S, -4)
 
 
-def test_symmetry_matches_frobenius_criterion():
-    for S in enumerate_by_genus(6):
-        assert S.is_symmetric == (S.frobenius == 2 * S.genus - 1)
-
-
 def test_symmetry_matches_the_defining_loop():
     # z is a member exactly when F - z is not, for every z in 0..F
     curves = list(enumerate_by_genus(14))
