@@ -1,4 +1,4 @@
-"""Corpus verification campaigns and transform chains.
+"""Corpus verification campaigns.
 
 A campaign enumerates every numerical semigroup up to a genus bound,
 builds the full report for each, and tallies identity violations and
@@ -12,10 +12,9 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .errors import FormulaNotApplicable, OracleError
-from .formulas import CurveReport, _chain_drops, full_report
+from .formulas import CurveReport, full_report
 from .ideals import IdealError
-from .oracle import torsion_length
-from .presentation import PresentationError, classify_transform
+from .presentation import PresentationError
 from .semigroup import NumericalSemigroup, SemigroupError, \
     enumerate_by_genus, from_generators
 
@@ -23,42 +22,6 @@ from .semigroup import NumericalSemigroup, SemigroupError, \
 # them per curve, and the command line exits 1 on them.
 _DOMAIN_ERRORS = (SemigroupError, PresentationError, IdealError, OracleError,
                   FormulaNotApplicable)
-
-
-class ChainStep(NamedTuple):
-    """One transform step with the formula-side drop prediction."""
-
-    generators: tuple[int, ...]
-    classification: str
-    formula_name: str
-    formula_drop: int
-
-
-class ChainResult(NamedTuple):
-    """A full transform chain down to a regular curve.
-
-    The formula drops are summed without consulting the torsion oracle on
-    any intermediate curve; telescoping against the starting torsion is
-    therefore a real test, not bookkeeping.
-    """
-
-    steps: tuple[ChainStep, ...]
-    start_torsion: int
-    telescoped_total: int
-
-    @property
-    def telescopes(self) -> bool:
-        return self.start_torsion == self.telescoped_total
-
-
-def build_chain(S: NumericalSemigroup,
-                reverse_tiebreak: bool = False) -> ChainResult:
-    """Transform repeatedly until regular, collecting formula drops."""
-    steps = tuple(ChainStep(T.min_generators, classify_transform(T), name,
-                            drop)
-                  for T, name, drop in _chain_drops(S, reverse_tiebreak))
-    return ChainResult(steps, torsion_length(S, reverse_tiebreak).length,
-                       sum(s.formula_drop for s in steps))
 
 
 def corpus(max_genus: int, max_multiplicity: int | None = None
@@ -146,10 +109,8 @@ def run_campaign(config: CampaignConfig
             by_genus[report.genus] = by_genus.get(report.genus, 0) + 1
             by_class[report.classification] = \
                 by_class.get(report.classification, 0) + 1
-            failed = tuple(name for name, ok in report.checks.items()
-                           if ok is False)
-            if failed:
-                violations.append((report.generators, failed))
+            if report.failed:
+                violations.append((report.generators, report.failed))
                 if config.fail_fast:
                     break
             if report.classification != "regular":

@@ -14,9 +14,8 @@ import argparse
 import sys
 from itertools import chain as chained
 
-from .campaign import (_DOMAIN_ERRORS, CampaignConfig, ChainResult,
-                       build_chain, corpus, run_campaign)
-from .formulas import CurveReport, full_report
+from .campaign import _DOMAIN_ERRORS, CampaignConfig, corpus, run_campaign
+from .formulas import ChainResult, CurveReport, build_chain, full_report
 from .semigroup import from_generators
 
 
@@ -116,9 +115,8 @@ def _verify_line(r: CurveReport) -> str:
             f"{_curve_label(r.generators)} genus {r.genus} "
             f"{r.classification} torsion {r.torsion_length} "
             f"drop {r.torsion_drop}")
-    failed = [n for n, ok in r.checks.items() if ok is False]
-    if failed:
-        line += " [" + " ".join(failed) + "]"
+    if r.failed:
+        line += " [" + " ".join(r.failed) + "]"
     return line
 
 

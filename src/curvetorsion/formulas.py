@@ -81,8 +81,34 @@ def general_drop(S: NumericalSemigroup, reverse_tiebreak: bool = False) -> int:
     return lengths.blowup_over_rescaled - n_vars * (away - S.multiplicity)
 
 
+class ChainStep(NamedTuple):
+    """One transform step with the formula-side drop prediction."""
+
+    generators: tuple[int, ...]
+    classification: str
+    formula_name: str
+    formula_drop: int
+
+
+class ChainResult(NamedTuple):
+    """A full transform chain down to a regular curve.
+
+    The formula drops are summed without consulting the torsion oracle on
+    any intermediate curve; telescoping against the starting torsion is
+    therefore a real test, not bookkeeping.
+    """
+
+    steps: tuple[ChainStep, ...]
+    start_torsion: int
+    telescoped_total: int
+
+    @property
+    def telescopes(self) -> bool:
+        return self.start_torsion == self.telescoped_total
+
+
 def drop_formula_for(S: NumericalSemigroup,
-                     reverse_tiebreak: bool = False) -> tuple[str, int]:
+                     reverse_tiebreak: bool = False) -> ChainStep:
     """The sharpest applicable drop formula for one transform step.
 
     Stable complete intersections and nice almost complete intersections
@@ -91,33 +117,26 @@ def drop_formula_for(S: NumericalSemigroup,
     """
     label = classify_transform(S)
     if label == "stable CI":
-        return "stable_ci_drop", stable_ci_drop(S)
-    if label == "nice ACI":
-        return "nice_aci_drop", nice_aci_drop(S, reverse_tiebreak)
-    return "general_drop", general_drop(S, reverse_tiebreak)
+        name, drop = "stable_ci_drop", stable_ci_drop(S)
+    elif label == "nice ACI":
+        name, drop = "nice_aci_drop", nice_aci_drop(S, reverse_tiebreak)
+    else:
+        name, drop = "general_drop", general_drop(S, reverse_tiebreak)
+    return ChainStep(S.min_generators, label, name, drop)
 
 
-def _chain_drops(S: NumericalSemigroup, reverse_tiebreak: bool
-                 ) -> list[tuple[NumericalSemigroup, str, int]]:
-    """(curve, formula name, drop) for every transform step down to a
-    regular curve; like drop_formula_for, it never consults the torsion
-    oracle."""
-    out = []
+def build_chain(S: NumericalSemigroup,
+                reverse_tiebreak: bool = False) -> ChainResult:
+    """Transform repeatedly until regular, collecting formula drops; the
+    chain ends at a regular curve with zero torsion, so their sum must
+    telescope to the starting torsion length."""
+    steps = []
     current = S
     while current.embdim > 1:
-        out.append((current, *drop_formula_for(current, reverse_tiebreak)))
+        steps.append(drop_formula_for(current, reverse_tiebreak))
         current = blowup(current).transformed
-    return out
-
-
-def chain_drop_sum(S: NumericalSemigroup,
-                   reverse_tiebreak: bool = False) -> int:
-    """Sum of per-step formula drops along the full transform chain.
-
-    The chain ends at a regular curve with zero torsion, so the sum must
-    telescope to the starting torsion length.
-    """
-    return sum(drop for _, _, drop in _chain_drops(S, reverse_tiebreak))
+    return ChainResult(tuple(steps), torsion_length(S, reverse_tiebreak).length,
+                       sum(s.formula_drop for s in steps))
 
 
 class CurveReport(NamedTuple):
@@ -158,8 +177,13 @@ class CurveReport(NamedTuple):
     checks: dict[str, bool | None]
 
     @property
+    def failed(self) -> tuple[str, ...]:
+        """The names of the violated checks, in check order."""
+        return tuple(name for name, ok in self.checks.items() if ok is False)
+
+    @property
     def all_pass(self) -> bool:
-        return all(v is not False for v in self.checks.values())
+        return not self.failed
 
     def to_dict(self) -> dict:
         out = {k: list(v) if isinstance(v, tuple) else v
@@ -227,8 +251,7 @@ def full_report(S: NumericalSemigroup,
     checks["normalization_colength_matches_genus"] = \
         genus_via_derivative_spans(S) == S.genus
     checks["kaehler_equals_dedekind"] = dk == dedekind_different(S)
-    checks["chain_telescopes"] = chain_drop_sum(S, reverse_tiebreak) \
-        == tor.length
+    checks["chain_telescopes"] = build_chain(S, reverse_tiebreak).telescopes
 
     if S.embdim > 1:
         lengths = relation_module_lengths(S, reverse_tiebreak)

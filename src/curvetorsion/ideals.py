@@ -172,36 +172,38 @@ def inverse(V: ValueSet) -> ValueSet:
     return make_value_set(S, lo, fits, tail)
 
 
-def _greedy_basis(pres: Presentation) -> tuple[list, int]:
-    """The derivative matrix's (degree, coefficients) rows sorted by
-    degree, and the degree total of the greedy basis.
+def _derivative_rows(pres: Presentation) -> list:
+    """The derivative matrix's (degree, coefficients) rows, by degree.
 
     The matrix is Presentation.derivatives from index 1 on: one row per
     relation and one column per non-distinguished variable; entry (r, i)
     is the integer exponent difference times a power of the uniformizer,
     so a maximal minor is an integer determinant times the uniformizer to
-    the power sum(chosen relation degrees) - sum(variable weights).  It is
-    nonzero exactly when its rows are independent, and independent
-    subsets form a matroid, so the greedy basis has the least total.
+    the power sum(chosen relation degrees) - sum(variable weights).
     """
-    rows = sorted(zip(pres.betti_degrees,
+    return sorted(zip(pres.betti_degrees,
                       (vec[1:] for vec in pres.derivatives)))
-    basis, total = Echelon(), 0
-    for d, vec in rows:  # absorb stops taking rows once the rank is full
-        grown = basis.absorb((vec,))
-        total += d * (grown.rank - basis.rank)
-        basis = grown
-    if basis.rank < len(pres.gen_tuple.var_weights):
-        raise IdealError("all maximal minors vanish")
-    return rows, total
 
 
 @lru_cache(maxsize=None)
 def least_minor_degree(pres: Presentation) -> int:
     """Least degree of a nonvanishing maximal minor of the derivative
-    matrix, the least value of its Fitting ideal.  Memoized: the graded
-    oracles read it for every cutoff, one int per presentation."""
-    return _greedy_basis(pres)[1] - sum(pres.gen_tuple.var_weights)
+    matrix, the least value of its Fitting ideal.
+
+    A minor is nonzero exactly when its rows are independent, and
+    independent subsets form a matroid, so the greedy basis over the rows
+    by degree has the least total.  Memoized: the graded oracles read it
+    for every cutoff and kaehler_different for its self-check, one int
+    per presentation.
+    """
+    basis, total = Echelon(), 0
+    for d, vec in _derivative_rows(pres):  # absorb stops at full rank
+        grown = basis.absorb((vec,))
+        total += d * (grown.rank - basis.rank)
+        basis = grown
+    if basis.rank < len(pres.gen_tuple.var_weights):
+        raise IdealError("all maximal minors vanish")
+    return total - sum(pres.gen_tuple.var_weights)
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +215,7 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     derivation.  For a one-variable curve the derivative matrix is empty
     and the different is the whole ring.
 
-    A minor's value is its row total (see _greedy_basis) minus the
+    A minor's value is its row total (see _derivative_rows) minus the
     column sum; totals one conductor past the greedy one lie in the tail.
     With rows (d_i, v_i), n columns, least degree lo and z = 2^K,
     det(sum_i v_i v_i^T z^(d_i - lo)) = sum_B det(J_B)^2 z^(w(B) - n lo)
@@ -227,7 +229,9 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
         return value_set_of(S)
     if pres.gen_tuple.weights != S.min_generators:
         raise IdealError("presentation does not match the curve")
-    rows, base_sum = _greedy_basis(pres)
+    col_sum = sum(S.min_generators[1:])
+    base_sum = least_minor_degree(pres) + col_sum
+    rows = _derivative_rows(pres)
     n, lo = S.embdim - 1, rows[0][0]
     limit = base_sum + S.conductor
     norms = sorted(sum(x * x for x in vec) for _, vec in rows)
@@ -241,7 +245,6 @@ def kaehler_different(S: NumericalSemigroup, pres: Presentation) -> ValueSet:
     for t in range(base_sum, limit):
         if det >> K * (t - n * lo) & digit:
             covered |= S.members_mask(limit - 1 - t) << t
-    col_sum = sum(S.min_generators[1:])
     return make_value_set(S, base_sum - col_sum, covered >> base_sum,
                           limit - col_sum)
 

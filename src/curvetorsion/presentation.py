@@ -19,8 +19,10 @@ against the sums the component's later weights can still reach.
 The generation check, relations_generate, is the second route that
 confirms a presentation generates.  It lists no factorization either:
 the sums of the weights, a fixpoint over the weights alone, give the
-vertex and edge masks of G_d for every degree at once, and their
-bit-sliced transitive closure gives the R-classes without reading S.
+vertex and edge masks of G_d for every degree at once, each relation
+joins the positions of its two sides in its own degree, and one
+bit-sliced transitive closure of both, without reading S, shows whether
+any degree keeps two classes apart.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from operator import mul
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .semigroup import NumericalSemigroup, _closure, blowup, from_generators
 
@@ -222,22 +224,30 @@ def _weight_monoid(weights: tuple[int, ...], top: int) -> int:
     return sums
 
 
-def _joined(weights: tuple[int, ...], top: int) -> list[list[int]]:
+def _joined(weights: tuple[int, ...], top: int,
+            joins: Iterable[tuple[int, int]] = ()) -> list[list[int]]:
     """joined[p][r] has bit d, d <= top, when positions p and r lie in
-    one R-class of degree d; joined[p][p] has it when p is used there.
+    one class of degree d; joined[p][p] has it when p is used there.
 
     With N the sums of the weights (_weight_monoid), p is used in degree
     d when d - w_p is in N, and p and r share a factorization there when
     d - w_p - w_r is.  Those masks, N << w_p and N << (w_p + w_r), are the
-    vertices and edges of G_d for every degree d at once; the R-classes
-    are its components, the bit-sliced transitive closure of the edges
-    (Warshall, k^3 ANDs and ORs on whole masks).
+    vertices and edges of G_d for every degree d at once.  Each (degree,
+    positions) pair of joins adds the edges between its positions in its
+    degree; the classes are the components, the bit-sliced transitive
+    closure of the edges (Warshall, k^3 ANDs and ORs on whole masks).
+    Without joins they are the R-classes.
     """
     sums = _weight_monoid(weights, top)
     full = (1 << (top + 1)) - 1
     joined = [[sums << (w + v) & full for v in weights] for w in weights]
     for p, w in enumerate(weights):
         joined[p][p] = sums << w & full
+    for d, positions in joins:
+        ends = [p for p in range(len(weights)) if positions >> p & 1]
+        for p in ends:
+            for r in ends:
+                joined[p][r] |= 1 << d & full
     for m, via in enumerate(joined):
         for row in joined:
             hop = row[m]
@@ -249,18 +259,6 @@ def _joined(weights: tuple[int, ...], top: int) -> list[list[int]]:
 def _support(vec: tuple[int, ...]) -> int:
     """Support mask of an exponent vector: bit p for a nonzero exponent."""
     return sum(1 << p for p, e in enumerate(vec) if e)
-
-
-def _merge(comps: list[int], joined: int) -> None:
-    """Merge every component meeting the position mask joined, in place."""
-    kept = []
-    for c in comps:
-        if c & joined:
-            joined |= c
-        else:
-            kept.append(c)
-    kept.append(joined)
-    comps[:] = kept
 
 
 def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
@@ -275,9 +273,12 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     a translate with a nonzero cofactor c stays among the factorizations
     that use a generator of c.  So degree d is connected exactly when its
     relations of degree d join its R-classes, and the relations generate
-    exactly when that holds in every degree.  _joined gives the R-classes
-    of every degree at once; only a degree where two used positions stay
-    apart merges its classes with its relations' supports, in Python.
+    exactly when that holds in every degree.  Each side of such a
+    relation is a factorization of degree d, its support inside one
+    R-class, so joining the union of the two supports in degree d merges
+    exactly the classes the relation joins.  _joined takes those joins
+    with the edges of every G_d into one closure; the relations generate
+    when every two positions used in a degree are joined there.
 
     No factorization is listed and the members of S are not read: the
     graphs G_d are the ones minimal_presentation reads from the
@@ -290,15 +291,14 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     with a common factor, raise PresentationError.
     """
     weights = pres.gen_tuple.weights
-    joins: dict[int, list[int]] = {}
+    joins = []
     for rel in pres.relations:
         if any(sum(map(mul, side, weights)) != rel.degree
                for side in (rel.lhs, rel.rhs)):
             raise PresentationError(
                 f"relation {rel.lhs} - {rel.rhs} is not of degree "
                 f"{rel.degree} over the weights {weights}")
-        joins.setdefault(rel.degree, []).append(
-            _support(rel.lhs) | _support(rel.rhs))
+        joins.append((rel.degree, _support(rel.lhs) | _support(rel.rhs)))
     q, big = min(weights), max(weights)
     schur = (q - 1) * (big - 1)
     top = schur + q - 1
@@ -307,26 +307,10 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
     if conductor > schur:
         raise PresentationError(f"the weights {weights} have a common factor")
     top = conductor + 2 * big + extra_degrees
-    joined = _joined(weights, top)
-    apart = 0
-    for p, row in enumerate(joined):
-        for r in range(p + 1, len(row)):
-            apart |= row[p] & joined[r][r] & ~row[r]
-    while apart:
-        d = (apart & -apart).bit_length() - 1
-        apart &= apart - 1
-        comps: list[int] = []
-        left = sum(1 << p for p, row in enumerate(joined) if row[p] >> d & 1)
-        while left:
-            row = joined[(left & -left).bit_length() - 1]
-            comps.append(sum(1 << r for r, to in enumerate(row)
-                             if to >> d & 1))
-            left &= ~comps[-1]
-        for joined_by in joins.get(d, ()):
-            _merge(comps, joined_by)
-        if len(comps) > 1:
-            return False
-    return True
+    joined = _joined(weights, top, joins)
+    return not any(row[p] & joined[r][r] & ~row[r]
+                   for p, row in enumerate(joined)
+                   for r in range(p + 1, len(row)))
 
 
 @lru_cache(maxsize=None)

@@ -81,6 +81,22 @@ MUTANTS = [
            (T_PRES + "test_support_sets_match_brute_force",
             T_PROPS + "test_support_sets_of_any_weight_tuple",
             T_PRES + "test_generation_check_matches_the_tuple_reference")),
+    # the relations' joins folded into the same closure
+    Mutant("relation join placed one degree high", PRES,
+           "joined[p][r] |= 1 << d & full",
+           "joined[p][r] |= 1 << (d + 1) & full",
+           (T_PRES + "test_presentations_generate",
+            T_PRES + "test_generation_check_matches_the_tuple_reference")),
+    Mutant("final check skips the last position", PRES,
+           "for r in range(p + 1, len(row)))",
+           "for r in range(p + 1, len(row) - 1))",
+           (T_PRES + "test_dropping_a_minimal_relation_breaks_generation",
+            T_PRES + "test_generation_check_matches_the_tuple_reference")),
+    Mutant("join leaves out its lowest support position", PRES,
+           "if positions >> p & 1]",
+           "if positions >> p & 1][1:]",
+           (T_PRES + "test_presentations_generate",
+            T_PRES + "test_generation_check_matches_the_tuple_reference")),
     # the Kaehler different read off one Cauchy-Binet determinant
     Mutant("read-out stops at the first zero digit", IDEALS,
            """            covered |= S.members_mask(limit - 1 - t) << t

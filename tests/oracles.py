@@ -633,12 +633,14 @@ def search_kaehler_different(S, pres):
     uncovered total.  Its cost is exponential in the embedding dimension.
     """
     from curvetorsion import value_set_of
-    from curvetorsion.ideals import _greedy_basis
+    from curvetorsion import least_minor_degree
+    from curvetorsion.ideals import _derivative_rows
     from curvetorsion.linalg import Echelon
 
     if S.embdim == 1:
         return value_set_of(S)
-    rows, base_sum = _greedy_basis(pres)
+    rows = _derivative_rows(pres)
+    base_sum = least_minor_degree(pres) + sum(pres.gen_tuple.var_weights)
     degrees = [d for d, _ in rows]
     n_vars, n_rows = S.embdim - 1, len(rows)
     limit = base_sum + S.conductor

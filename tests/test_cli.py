@@ -95,9 +95,10 @@ def test_human_rendering_reads_only_the_record(monkeypatch):
 
     monkeypatch.setattr("curvetorsion.cli.full_report",
                         lambda S, reverse_tiebreak=False: report)
-    # the greedy basis is where kaehler_different and the oracles' least
-    # minor degree both start
-    monkeypatch.setattr("curvetorsion.ideals._greedy_basis", no_minor_search)
+    # the derivative rows are where kaehler_different and the oracles'
+    # least minor degree both start
+    monkeypatch.setattr("curvetorsion.ideals._derivative_rows",
+                        no_minor_search)
     argv = ["analyze", "3", "4", "5", "--format", "human"]
     expected = next(e for e in GOLDEN if e["argv"] == argv)
     code, out, err = run_cli(*argv)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from curvetorsion import (CHECK_NAMES, FormulaNotApplicable, blowup,
-                          blowup_presentation, chain_drop_sum,
+                          blowup_presentation, build_chain,
                           ci_drop_lower_bound, complete_intersection_torsion,
                           different_inverse_gap, drop_formula_for,
                           from_generators, full_report, general_drop,
@@ -72,24 +72,25 @@ def test_drop_formulas_match_the_oracle():
         S = from_generators(gens)
         S1 = blowup(S).transformed
         oracle_drop = torsion_length(S).length - torsion_length(S1).length
-        name, value = drop_formula_for(S)
-        assert value == oracle_drop, (gens, name)
+        step = drop_formula_for(S)
+        assert step.formula_drop == oracle_drop, (gens, step.formula_name)
 
 
 def test_drop_formula_selection():
-    assert drop_formula_for(from_generators((4, 6, 7))) == ("stable_ci_drop", 8)
-    assert drop_formula_for(from_generators((3, 4, 5))) == ("nice_aci_drop", 5)
-    assert drop_formula_for(from_generators((4, 5, 6, 7))) == \
-        ("general_drop", 9)
-    assert drop_formula_for(from_generators((3, 7, 8))) == ("general_drop", 5)
+    for gens, expected in [((4, 6, 7), ("stable_ci_drop", 8)),
+                           ((3, 4, 5), ("nice_aci_drop", 5)),
+                           ((4, 5, 6, 7), ("general_drop", 9)),
+                           ((3, 7, 8), ("general_drop", 5))]:
+        step = drop_formula_for(from_generators(gens))
+        assert (step.formula_name, step.formula_drop) == expected, gens
 
 
 def test_chain_drop_sum():
-    assert chain_drop_sum(from_generators((4, 6, 7))) == 10
-    assert chain_drop_sum(from_generators((3, 4, 5))) == 5
-    assert chain_drop_sum(from_generators((3, 5, 7))) == 7
-    assert chain_drop_sum(from_generators((3, 7, 8))) == 10
-    assert chain_drop_sum(from_generators((1,))) == 0
+    assert build_chain(from_generators((4, 6, 7))).telescoped_total == 10
+    assert build_chain(from_generators((3, 4, 5))).telescoped_total == 5
+    assert build_chain(from_generators((3, 5, 7))).telescoped_total == 7
+    assert build_chain(from_generators((3, 7, 8))).telescoped_total == 10
+    assert build_chain(from_generators((1,))).telescoped_total == 0
 
 
 def test_general_drop_is_the_differential_colength():

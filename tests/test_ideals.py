@@ -320,18 +320,14 @@ def test_kaehler_self_check_fires_on_a_planted_greedy_total(monkeypatch):
     # determinant has no lowest digit; only the self-check sees either.
     S = from_generators((4, 6, 7))
     pres = presentation_of(S)
-    real = ideals._greedy_basis
-
-    def planted(pres):
-        rows, total = real(pres)
-        return rows, total + 1
-
-    monkeypatch.setattr(ideals, "_greedy_basis", planted)
+    real = ideals.least_minor_degree
+    monkeypatch.setattr(ideals, "least_minor_degree",
+                        lambda pres: real(pres) + 1)
     kaehler_different.cache_clear()  # an earlier test may have filled it
     with pytest.raises(IdealError,
                        match=r"^Kaehler different self-check failed at 27$"):
         kaehler_different(S, pres)
-    monkeypatch.setattr(ideals, "_greedy_basis", real)
+    monkeypatch.setattr(ideals, "least_minor_degree", real)
     monkeypatch.setattr(ideals, "integer_determinant", lambda matrix: 0)
     with pytest.raises(IdealError,
                        match=r"^Kaehler different self-check failed at 26$"):
