@@ -10,8 +10,8 @@ oracle, and every oracle guards its own degree cutoffs.
 
 import types
 
-from .campaign import CampaignConfig, CampaignSummary, run_campaign
-from .errors import FormulaNotApplicable, OracleError
+from .campaign import CampaignConfig, CampaignSummary, Tally, run_campaign
+from .errors import DomainError, FormulaNotApplicable, OracleError
 from .formulas import (CHECK_NAMES, ChainResult, ChainStep, CurveReport,
                        build_chain, ci_drop_lower_bound,
                        complete_intersection_torsion, drop_formula_for,

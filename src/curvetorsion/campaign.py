@@ -1,27 +1,20 @@
 """Corpus verification campaigns.
 
 A campaign enumerates every numerical semigroup up to a genus bound,
-builds the full report for each, and tallies identity violations and
-oracle failures separately: a violated identity is a mathematical
+builds the full report for each, and streams the outcomes in enumeration
+order as they are done.  A Tally counts identity violations and oracle
+failures separately as they pass: a violated identity is a mathematical
 counterexample, a failed oracle is a broken computation, and the two must
 never be conflated.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import FormulaNotApplicable, OracleError
+from .errors import DomainError
 from .formulas import CurveReport, full_report
-from .ideals import IdealError
-from .presentation import PresentationError
-from .semigroup import NumericalSemigroup, SemigroupError, \
-    enumerate_by_genus, from_generators
-
-# Failures of the computation rather than of an identity: a sweep records
-# them per curve, and the command line exits 1 on them.
-_DOMAIN_ERRORS = (SemigroupError, PresentationError, IdealError, OracleError,
-                  FormulaNotApplicable)
+from .semigroup import NumericalSemigroup, enumerate_by_genus, from_generators
 
 
 def corpus(max_genus: int, max_multiplicity: int | None = None
@@ -57,34 +50,68 @@ class CampaignSummary(NamedTuple):
         return not self.violations and not self.oracle_errors
 
 
+class Tally:
+    """Counts a campaign's outcomes as they stream past."""
+
+    def __init__(self) -> None:
+        self.by_genus: dict[int, int] = {}
+        self.by_class: dict[str, int] = {}
+        self.violations, self.oracle_errors = [], []
+        self.least_torsion = self.least_excess = None
+
+    def reports(self, outcomes: Iterable) -> Iterator[CurveReport]:
+        """The reports among a campaign's (generators, outcome) pairs, each
+        pair counted as it passes."""
+        for generators, r in outcomes:
+            if isinstance(r, str):
+                self.oracle_errors.append((generators, r))
+                continue
+            self.by_genus[r.genus] = self.by_genus.get(r.genus, 0) + 1
+            self.by_class[r.classification] = \
+                self.by_class.get(r.classification, 0) + 1
+            if r.failed:
+                self.violations.append((r.generators, r.failed))
+            if r.classification != "regular":
+                t = r.torsion_length
+                if self.least_torsion is None or t < self.least_torsion:
+                    self.least_torsion = t
+                if r.deviation == 0:
+                    excess = r.torsion_drop \
+                        - (r.embedding_dimension - 1) * r.multiplicity
+                    if self.least_excess is None or excess < self.least_excess:
+                        self.least_excess = excess
+            yield r
+
+    def summary(self) -> CampaignSummary:
+        """The summary of the outcomes counted so far."""
+        return CampaignSummary(
+            sum(self.by_genus.values()) + len(self.oracle_errors),
+            tuple(sorted(self.by_genus.items())),
+            tuple(sorted(self.by_class.items())), tuple(self.violations),
+            tuple(self.oracle_errors), self.least_torsion, self.least_excess)
+
+
 def _examine(args: tuple[tuple[int, ...], bool]):
-    """Worker: build one report, trapping domain errors as data."""
+    """Worker: one curve's generators and report, or domain error message."""
     generators, reverse_tiebreak = args
-    S = from_generators(generators)
     try:
-        return "ok", full_report(S, reverse_tiebreak)
-    except _DOMAIN_ERRORS as exc:
-        return "error", generators, f"{type(exc).__name__}: {exc}"
+        return generators, full_report(from_generators(generators),
+                                       reverse_tiebreak)
+    except DomainError as exc:
+        return generators, f"{type(exc).__name__}: {exc}"
 
 
 def run_campaign(config: CampaignConfig
-                 ) -> tuple[CampaignSummary, list[CurveReport]]:
+                 ) -> Iterator[tuple[tuple[int, ...], CurveReport | str]]:
     """Verify every curve in the configured corpus.
 
-    Returns the summary and the per-curve reports in enumeration order;
-    order and content are deterministic for a given configuration.
+    Yields (generators, outcome) in enumeration order as each curve is
+    done: its CurveReport, or the message of the domain error that stopped
+    it.  With fail_fast the stream ends right after the first violation or
+    error.  Order and content are deterministic for a given configuration.
     """
     jobs = [(S.min_generators, config.reverse_tiebreak)
             for S in corpus(config.max_genus, config.max_multiplicity)]
-
-    reports: list[CurveReport] = []
-    by_genus: dict[int, int] = {}
-    by_class: dict[str, int] = {}
-    violations = []
-    oracle_errors = []
-    min_singular_torsion = None
-    min_ci_excess = None
-
     # a worker without a curve would be forked for nothing
     workers = min(config.jobs, len(jobs))
     if workers > 1:
@@ -97,42 +124,11 @@ def run_campaign(config: CampaignConfig
         executor = None
         results = map(_examine, jobs)
     try:
-        for outcome in results:
-            if outcome[0] == "error":
-                _, generators, message = outcome
-                oracle_errors.append((generators, message))
-                if config.fail_fast:
-                    break
-                continue
-            report = outcome[1]
-            reports.append(report)
-            by_genus[report.genus] = by_genus.get(report.genus, 0) + 1
-            by_class[report.classification] = \
-                by_class.get(report.classification, 0) + 1
-            if report.failed:
-                violations.append((report.generators, report.failed))
-                if config.fail_fast:
-                    break
-            if report.classification != "regular":
-                t = report.torsion_length
-                if min_singular_torsion is None or t < min_singular_torsion:
-                    min_singular_torsion = t
-                if report.deviation == 0:
-                    excess = report.torsion_drop \
-                        - (report.embedding_dimension - 1) * report.multiplicity
-                    if min_ci_excess is None or excess < min_ci_excess:
-                        min_ci_excess = excess
+        for generators, outcome in results:
+            yield generators, outcome
+            if config.fail_fast and (isinstance(outcome, str)
+                                     or outcome.failed):
+                return
     finally:
         if executor is not None:
             executor.shutdown(cancel_futures=True)
-
-    summary = CampaignSummary(
-        curves_examined=len(reports) + len(oracle_errors),
-        counts_by_genus=tuple(sorted(by_genus.items())),
-        counts_by_classification=tuple(sorted(by_class.items())),
-        violations=tuple(violations),
-        oracle_errors=tuple(oracle_errors),
-        min_singular_torsion=min_singular_torsion,
-        min_ci_drop_excess=min_ci_excess,
-    )
-    return summary, reports

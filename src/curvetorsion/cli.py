@@ -14,7 +14,8 @@ import argparse
 import sys
 from itertools import chain as chained
 
-from .campaign import _DOMAIN_ERRORS, CampaignConfig, corpus, run_campaign
+from .campaign import CampaignConfig, Tally, corpus, run_campaign
+from .errors import DomainError
 from .formulas import ChainResult, CurveReport, build_chain, full_report
 from .semigroup import from_generators
 
@@ -158,28 +159,26 @@ def _emit(fmt: str, lines, records, header, rows, notes=()) -> None:
         print(line, file=sys.stderr)
 
 
-def _summary_lines(summary) -> list[str]:
-    lines = [
-        f"curves examined: {summary.curves_examined}",
-        f"identity violations: {len(summary.violations)}",
-        f"oracle errors: {len(summary.oracle_errors)}",
-    ]
+def _summary_lines(tally: Tally):
+    """A sweep's closing notes, read once its stream has ended."""
+    summary = tally.summary()
+    yield f"curves examined: {summary.curves_examined}"
+    yield f"identity violations: {len(summary.violations)}"
+    yield f"oracle errors: {len(summary.oracle_errors)}"
     for genus, count in summary.counts_by_genus:
-        lines.append(f"genus {genus}: {count} curves")
+        yield f"genus {genus}: {count} curves"
     for label, count in summary.counts_by_classification:
-        lines.append(f"class {label}: {count} curves")
+        yield f"class {label}: {count} curves"
     if summary.min_singular_torsion is not None:
-        lines.append(f"least torsion among singular curves: "
-                     f"{summary.min_singular_torsion}")
+        yield (f"least torsion among singular curves: "
+               f"{summary.min_singular_torsion}")
     if summary.min_ci_drop_excess is not None:
-        lines.append(f"least complete-intersection drop excess: "
-                     f"{summary.min_ci_drop_excess}")
+        yield (f"least complete-intersection drop excess: "
+               f"{summary.min_ci_drop_excess}")
     for generators, failed in summary.violations:
-        lines.append(f"violated by {_curve_label(generators)}: "
-                     + " ".join(failed))
+        yield f"violated by {_curve_label(generators)}: " + " ".join(failed)
     for generators, message in summary.oracle_errors:
-        lines.append(f"oracle error on {_curve_label(generators)}: {message}")
-    return lines
+        yield f"oracle error on {_curve_label(generators)}: {message}"
 
 
 def analyze(args: argparse.Namespace) -> int:
@@ -194,18 +193,18 @@ def analyze(args: argparse.Namespace) -> int:
 
 def verify(args: argparse.Namespace) -> int:
     """Verify the whole corpus up to a genus bound."""
-    config = CampaignConfig(max_genus=args.max_genus,
-                            max_multiplicity=args.max_multiplicity,
-                            jobs=args.jobs, fail_fast=args.fail_fast,
-                            reverse_tiebreak=args.reverse_tiebreak)
-    summary, reports = run_campaign(config)
-    notes = _summary_lines(summary)
-    _emit(args.fmt, lines=chained(map(_verify_line, reports), notes),
+    tally = Tally()
+    reports = tally.reports(run_campaign(CampaignConfig(
+        max_genus=args.max_genus, max_multiplicity=args.max_multiplicity,
+        jobs=args.jobs, fail_fast=args.fail_fast,
+        reverse_tiebreak=args.reverse_tiebreak)))
+    _emit(args.fmt, lines=chained(map(_verify_line, reports),
+                                  _summary_lines(tally)),
           records=map(CurveReport.to_dict, reports),
-          header=_CSV_HEADER, rows=_csv_rows(reports), notes=notes)
-    if summary.oracle_errors:
-        return 1
-    return 2 if summary.violations else 0
+          header=_CSV_HEADER, rows=_csv_rows(reports),
+          notes=_summary_lines(tally))
+    summary = tally.summary()
+    return 1 if summary.oracle_errors else 2 if summary.violations else 0
 
 
 def enumerate_cmd(args: argparse.Namespace) -> int:
@@ -322,7 +321,7 @@ def main(argv=None) -> None:
     except (KeyboardInterrupt, EOFError):
         print("error: aborted", file=sys.stderr)
         sys.exit(1)
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)
     sys.exit(code)

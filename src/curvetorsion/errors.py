@@ -1,7 +1,11 @@
 """Shared error types for the verification pipeline."""
 
 
-class OracleError(RuntimeError):
+class DomainError(Exception):
+    """Base of the package's errors: a sweep records one on its curve."""
+
+
+class OracleError(DomainError, RuntimeError):
     """Hard failure of the exact graded oracle.
 
     Raised for cutoff violations, unstable truncation windows, graded
@@ -11,5 +15,5 @@ class OracleError(RuntimeError):
     """
 
 
-class FormulaNotApplicable(ValueError):
+class FormulaNotApplicable(DomainError, ValueError):
     """A closed-form length formula was invoked outside its hypotheses."""

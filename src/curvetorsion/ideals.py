@@ -26,12 +26,13 @@ from functools import lru_cache
 from math import comb, prod
 from typing import NamedTuple
 
+from .errors import DomainError
 from .linalg import Echelon, integer_determinant
 from .presentation import Presentation
 from .semigroup import NumericalSemigroup, _closure, _set_bits, apery_set
 
 
-class IdealError(ValueError):
+class IdealError(DomainError, ValueError):
     """Raised for value sets that are not semigroup-stable or comparable."""
 
 

@@ -32,10 +32,11 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterable, NamedTuple
 
+from .errors import DomainError
 from .semigroup import NumericalSemigroup, _closure, blowup, from_generators
 
 
-class PresentationError(ValueError):
+class PresentationError(DomainError, ValueError):
     """Raised for malformed generator tuples or unusable presentations."""
 
 
@@ -261,11 +262,11 @@ def _support(vec: tuple[int, ...]) -> int:
     return sum(1 << p for p, e in enumerate(vec) if e)
 
 
-def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
+def relations_generate(pres: Presentation) -> bool:
     """Congruence connectivity check: do the relations generate the ideal?
 
-    For every degree up to the Betti bound (plus extra_degrees), the graph
-    on factorizations whose edges are relation translates must be
+    For every degree up to the Betti bound, the graph on the
+    factorizations whose edges are relation translates must be
     connected.  It is checked on R-classes (Herzog, Manuscripta Math. 3,
     1970; Rosales and Garcia-Sanchez 2009, ch. 7).  While every lower
     degree is connected, the factorizations of degree d that use
@@ -306,7 +307,7 @@ def relations_generate(pres: Presentation, extra_degrees: int = 0) -> bool:
                  ).bit_length()
     if conductor > schur:
         raise PresentationError(f"the weights {weights} have a common factor")
-    top = conductor + 2 * big + extra_degrees
+    top = conductor + 2 * big
     joined = _joined(weights, top, joins)
     return not any(row[p] & joined[r][r] & ~row[r]
                    for p, row in enumerate(joined)

@@ -22,8 +22,10 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Iterator, NamedTuple
 
+from .errors import DomainError
 
-class SemigroupError(ValueError):
+
+class SemigroupError(DomainError, ValueError):
     """Raised for inputs that do not define a numerical semigroup."""
 
 

@@ -58,6 +58,7 @@ T_LINALG = "tests/test_linalg.py::"
 T_ORACLE = "tests/test_oracle.py::"
 T_VALUES = "tests/test_value_sets.py::test_value_sets_match_the_set_references"
 T_CLI = "tests/test_cli.py::"
+T_CAMPAIGN = "tests/test_campaign.py::"
 # the membership-test presentation against the factorization reference
 T_MINIMAL = (
     T_PRES + "test_minimal_presentation_matches_the_factorization_reference",
@@ -167,8 +168,40 @@ MUTANTS = [
     Mutant("pool not capped at the corpus size", CAMPAIGN,
            "ProcessPoolExecutor(max_workers=workers)",
            "ProcessPoolExecutor(max_workers=config.jobs)",
-           ("tests/test_campaign.py::"
-            "test_campaign_pool_is_capped_at_the_corpus_size",)),
+           (T_CAMPAIGN + "test_campaign_pool_is_capped_at_the_corpus_size",)),
+    # the sweep streamed: each outcome written as it arrives, and counted
+    # by the tally on its way
+    Mutant("fail-fast stop before the violator's yield", CAMPAIGN,
+           """            yield generators, outcome
+            if config.fail_fast and (isinstance(outcome, str)
+                                     or outcome.failed):
+                return
+""",
+           """            if config.fail_fast and (isinstance(outcome, str)
+                                     or outcome.failed):
+                return
+            yield generators, outcome
+""",
+           (T_CAMPAIGN + "test_campaign_fail_fast_stops_at_first_violation",)),
+    Mutant("errors left out of the curves examined", CAMPAIGN,
+           "sum(self.by_genus.values()) + len(self.oracle_errors),",
+           "sum(self.by_genus.values()),",
+           (T_CAMPAIGN + "test_campaign_fail_fast_stops_at_first_violation",
+            T_CAMPAIGN + "test_campaign_records_a_domain_error_and_goes_on")),
+    Mutant("sweep collected before writing", CLI,
+           "    _emit(args.fmt, lines=chained(map(_verify_line, reports),",
+           "    reports = list(reports)\n"
+           "    _emit(args.fmt, lines=chained(map(_verify_line, reports),",
+           (T_CLI + "test_interrupted_sweep_keeps_the_records_already_written",)),
+    Mutant("pool left running when the stream is closed", CAMPAIGN,
+           "executor.shutdown(cancel_futures=True)",
+           "executor.shutdown(wait=False, cancel_futures=True)",
+           (T_CAMPAIGN + "test_closing_a_pooled_campaign_leaves_no_worker",)),
+    Mutant("an error class outside DomainError", IDEALS,
+           "class IdealError(DomainError, ValueError):",
+           "class IdealError(ValueError):",
+           (T_CAMPAIGN + "test_every_package_exception_is_a_domain_error",
+            T_CAMPAIGN + "test_campaign_records_a_domain_error_and_goes_on")),
     Mutant("GeneratorTuple validation dropped", PRES,
            "if not weights or any(w < 1 for w in weights):",
            "if False:",

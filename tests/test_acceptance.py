@@ -40,12 +40,11 @@ from curvetorsion import (
     presentation_of,
     relation_module_lengths,
     relative_differential_dims,
-    run_campaign,
     stable_ci_drop,
     torsion_length,
 )
 
-from oracles import count_gap_sets, run_cli
+from oracles import collect_campaign, count_gap_sets, run_cli
 
 GENUS_LIMIT = 8
 TIME_LIMIT_SECONDS = 120.0
@@ -79,7 +78,8 @@ class Checker:
 def campaign():
     """The exhaustive genus <= 8 sweep, run once and shared."""
     start = time.perf_counter()
-    summary, reports = run_campaign(CampaignConfig(max_genus=GENUS_LIMIT))
+    summary, reports = collect_campaign(
+        CampaignConfig(max_genus=GENUS_LIMIT))
     elapsed = time.perf_counter() - start
     return summary, reports, elapsed
 
@@ -256,7 +256,7 @@ def test_genus_9_exhaustive_identity_campaign(campaign):
     # 274 curves of genus <= 9.  Requesting the genus <= 8 fixture first
     # lets this sweep reuse its caches.
     start = time.perf_counter()
-    summary, reports = run_campaign(CampaignConfig(max_genus=9))
+    summary, reports = collect_campaign(CampaignConfig(max_genus=9))
     elapsed = time.perf_counter() - start
     check = Checker()
     check.equal("curves examined", summary.curves_examined, 274)
@@ -349,8 +349,9 @@ def test_criterion_5_oracle_self_consistency(campaign):
     check.equal("cutoff-window violations on the full corpus",
                 summary.oracle_errors, ())
 
-    plain_summary, plain_reports = run_campaign(CampaignConfig(max_genus=6))
-    reversed_summary, reversed_reports = run_campaign(
+    plain_summary, plain_reports = collect_campaign(
+        CampaignConfig(max_genus=6))
+    reversed_summary, reversed_reports = collect_campaign(
         CampaignConfig(max_genus=6, reverse_tiebreak=True))
     check.equal("tie-break reversal: reports",
                 [report.to_dict() for report in reversed_reports],

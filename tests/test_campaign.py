@@ -5,13 +5,15 @@ from __future__ import annotations
 import concurrent.futures
 import importlib
 import inspect
+import multiprocessing
 import pkgutil
 
 import curvetorsion
 import curvetorsion.campaign
-from curvetorsion import (CampaignConfig, CampaignSummary, IdealError,
-                          build_chain, from_generators, run_campaign)
-from oracles import run_cli
+from curvetorsion import (CampaignConfig, CampaignSummary, CurveReport,
+                          DomainError, IdealError, build_chain,
+                          from_generators, run_campaign)
+from oracles import collect_campaign, run_cli
 
 
 def test_chain_pinned():
@@ -43,7 +45,7 @@ def test_chain_of_regular_curve_is_empty():
 
 
 def test_campaign_genus_four_pinned():
-    summary, reports = run_campaign(CampaignConfig(max_genus=4))
+    summary, reports = collect_campaign(CampaignConfig(max_genus=4))
     assert isinstance(summary, CampaignSummary)
     assert summary.curves_examined == 15 and len(reports) == 15
     assert summary.counts_by_genus == ((0, 1), (1, 1), (2, 2), (3, 4), (4, 7))
@@ -61,37 +63,63 @@ def test_campaign_genus_four_pinned():
 
 
 def test_campaign_reports_follow_enumeration_order():
-    _, reports = run_campaign(CampaignConfig(max_genus=3))
+    _, reports = collect_campaign(CampaignConfig(max_genus=3))
     assert [r.generators for r in reports] == [
         (1,), (2, 3), (2, 5), (3, 4, 5), (2, 7), (3, 4), (3, 5, 7),
         (4, 5, 6, 7)]
 
 
 def test_campaign_all_pass_below_the_counterexamples():
-    summary, _ = run_campaign(CampaignConfig(max_genus=2))
+    summary, _ = collect_campaign(CampaignConfig(max_genus=2))
     assert summary.all_pass
     assert summary.violations == () and summary.oracle_errors == ()
 
 
 def test_campaign_multiplicity_filter():
-    summary, reports = run_campaign(
+    summary, reports = collect_campaign(
         CampaignConfig(max_genus=4, max_multiplicity=3))
     assert summary.curves_examined == 10
     assert all(r.multiplicity <= 3 for r in reports)
     assert summary.all_pass
 
 
-def test_campaign_fail_fast_stops_at_first_violation():
-    summary, reports = run_campaign(
+def _inject_ideal_error(monkeypatch):
+    """Makes the campaign's full_report raise an IdealError on <3,5,7>."""
+    real_full_report = curvetorsion.campaign.full_report
+
+    def failing_full_report(S, reverse_tiebreak=False):
+        if S.min_generators == (3, 5, 7):
+            raise IdealError("injected")
+        return real_full_report(S, reverse_tiebreak)
+
+    monkeypatch.setattr(curvetorsion.campaign, "full_report",
+                        failing_full_report)
+
+
+def test_campaign_fail_fast_stops_at_first_violation(monkeypatch):
+    summary, reports = collect_campaign(
         CampaignConfig(max_genus=4, fail_fast=True))
     assert len(summary.violations) == 1
     assert summary.violations[0][0] == (4, 5, 6, 7)
     assert summary.curves_examined == 8  # enumeration position of the violator
+    assert reports[-1].generators == (4, 5, 6, 7)
+
+    # an oracle error stops the stream the same way, at its own position
+    _inject_ideal_error(monkeypatch)
+    summary, reports = collect_campaign(
+        CampaignConfig(max_genus=4, fail_fast=True))
+    assert summary.oracle_errors == (((3, 5, 7), "IdealError: injected"),)
+    assert summary.violations == ()
+    assert summary.curves_examined == 7 and len(reports) == 6
+    code, out, _ = run_cli("verify", "--max-genus", "4", "--fail-fast")
+    assert code == 1
+    assert "curves examined: 7" in out.splitlines()
 
 
 def test_campaign_parallel_matches_serial():
-    serial_summary, serial_reports = run_campaign(CampaignConfig(max_genus=3))
-    parallel_summary, parallel_reports = run_campaign(
+    serial_summary, serial_reports = collect_campaign(
+        CampaignConfig(max_genus=3))
+    parallel_summary, parallel_reports = collect_campaign(
         CampaignConfig(max_genus=3, jobs=2))
     assert parallel_summary == serial_summary
     assert [r.to_dict() for r in parallel_reports] == \
@@ -116,18 +144,19 @@ def test_campaign_pool_is_capped_at_the_corpus_size(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    serial = run_campaign(CampaignConfig(max_genus=1))
-    assert run_campaign(CampaignConfig(max_genus=1, jobs=64)) == serial
+    serial = collect_campaign(CampaignConfig(max_genus=1))
+    assert collect_campaign(CampaignConfig(max_genus=1, jobs=64)) == serial
     assert started == [2]
-    run_campaign(CampaignConfig(max_genus=0, jobs=64))
+    collect_campaign(CampaignConfig(max_genus=0, jobs=64))
     assert started == [2]
-    run_campaign(CampaignConfig(max_genus=3, jobs=3))
+    collect_campaign(CampaignConfig(max_genus=3, jobs=3))
     assert started == [2, 3]
 
 
 def test_campaign_reverse_tiebreak_changes_no_length():
-    plain_summary, plain_reports = run_campaign(CampaignConfig(max_genus=3))
-    flipped_summary, flipped_reports = run_campaign(
+    plain_summary, plain_reports = collect_campaign(
+        CampaignConfig(max_genus=3))
+    flipped_summary, flipped_reports = collect_campaign(
         CampaignConfig(max_genus=3, reverse_tiebreak=True))
     assert flipped_summary == plain_summary
     assert [r.to_dict() for r in flipped_reports] == \
@@ -135,16 +164,8 @@ def test_campaign_reverse_tiebreak_changes_no_length():
 
 
 def test_campaign_records_a_domain_error_and_goes_on(monkeypatch):
-    real_full_report = curvetorsion.campaign.full_report
-
-    def failing_full_report(S, reverse_tiebreak=False):
-        if S.min_generators == (3, 5, 7):
-            raise IdealError("injected")
-        return real_full_report(S, reverse_tiebreak)
-
-    monkeypatch.setattr(curvetorsion.campaign, "full_report",
-                        failing_full_report)
-    summary, reports = run_campaign(CampaignConfig(max_genus=3))
+    _inject_ideal_error(monkeypatch)
+    summary, reports = collect_campaign(CampaignConfig(max_genus=3))
     assert summary.curves_examined == 8
     assert len(reports) == 7
     assert (3, 5, 7) not in [r.generators for r in reports]
@@ -155,9 +176,17 @@ def test_campaign_records_a_domain_error_and_goes_on(monkeypatch):
     assert "oracle error on <3,5,7>: IdealError: injected" in out.splitlines()
 
 
+def test_closing_a_pooled_campaign_leaves_no_worker():
+    outcomes = run_campaign(CampaignConfig(max_genus=4, jobs=2))
+    generators, report = next(outcomes)
+    assert generators == (1,) and isinstance(report, CurveReport)
+    outcomes.close()
+    assert multiprocessing.active_children() == []
+
+
 def test_every_package_exception_is_a_domain_error():
-    # _DOMAIN_ERRORS is kept by hand; an exception class missing from it
-    # would crash a sweep instead of being recorded on its curve
+    # a sweep records a DomainError on its curve; an exception class
+    # outside it would crash the sweep instead
     defined = set()
     for info in pkgutil.iter_modules(curvetorsion.__path__):
         module = importlib.import_module(f"curvetorsion.{info.name}")
@@ -165,5 +194,7 @@ def test_every_package_exception_is_a_domain_error():
                                                          inspect.isclass)
                     if issubclass(cls, BaseException)
                     and cls.__module__ == module.__name__}
-    assert IdealError in defined
-    assert defined <= set(curvetorsion.campaign._DOMAIN_ERRORS)
+    assert {IdealError, DomainError} <= defined
+    for cls in defined - {DomainError}:
+        assert issubclass(cls, DomainError), cls
+        assert issubclass(cls, (ValueError, RuntimeError)), cls

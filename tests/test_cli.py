@@ -146,6 +146,23 @@ def test_interrupt_exits_one(monkeypatch):
     assert run_cli("analyze", "2", "3") == (1, "", "error: aborted\n")
 
 
+def test_interrupted_sweep_keeps_the_records_already_written(monkeypatch):
+    real_full_report = curvetorsion.campaign.full_report
+
+    def interrupted_at_the_second_curve(S, reverse_tiebreak=False):
+        if S.min_generators == (2, 3):
+            raise KeyboardInterrupt
+        return real_full_report(S, reverse_tiebreak)
+
+    monkeypatch.setattr("curvetorsion.campaign.full_report",
+                        interrupted_at_the_second_curve)
+    first = {"human": "PASS <1> genus 0 regular torsion 0 drop 0\n",
+             "jsonl": run_cli("analyze", "1", "--format", "jsonl")[1]}
+    for fmt, written in first.items():
+        assert run_cli("verify", "--max-genus", "3", "--format", fmt) == \
+            (1, written, "error: aborted\n")
+
+
 def test_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
