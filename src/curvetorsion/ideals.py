@@ -27,7 +27,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .errors import DomainError
-from .linalg import Echelon, integer_determinant
+from .linalg import _reduce, integer_determinant
 from .presentation import Presentation
 from .semigroup import NumericalSemigroup, _closure, _set_bits, apery_set
 
@@ -197,12 +197,12 @@ def least_minor_degree(pres: Presentation) -> int:
     for every cutoff and kaehler_different for its self-check, one int
     per presentation.
     """
-    basis, total = Echelon(), 0
-    for d, vec in _derivative_rows(pres):  # absorb stops at full rank
-        grown = basis.absorb((vec,))
-        total += d * (grown.rank - basis.rank)
-        basis = grown
-    if basis.rank < len(pres.gen_tuple.var_weights):
+    basis, total = [], 0
+    for d, vec in _derivative_rows(pres):  # _reduce stops at full rank
+        rank = len(basis)
+        _reduce(basis, (vec,))
+        total += d * (len(basis) - rank)
+    if len(basis) < len(pres.gen_tuple.var_weights):
         raise IdealError("all maximal minors vanish")
     return total - sum(pres.gen_tuple.var_weights)
 

@@ -1,9 +1,9 @@
 """Exact linear algebra over the integers.
 
 All graded ranks in this package are ranks of small integer matrices,
-and one fraction-free elimination loop, _reduce, computes them all, for
-integer_rank on a plain list and for Echelon, so there is no floating
-point anywhere.
+and one fraction-free elimination loop, _reduce, computes them all on a
+plain list, for integer_rank and for the greedy basis of the least minor
+degree, so there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -31,31 +31,6 @@ def _reduce(rows: list, vecs: Iterable[Sequence[int]]) -> None:
                 g = gcd(*v)
                 rows.append((pivot, v if g == 1 else [a // g for a in v]))
                 break
-
-
-class Echelon:
-    """Linearly independent integer rows in echelon form, grown one at a time.
-
-    Each stored row is primitive (its entries have gcd 1) and is zero in
-    the pivot column of every row stored before it, so a candidate row is
-    reduced against all of them in one pass (_reduce) and is independent
-    exactly when something survives.  absorb returns a new Echelon.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple[tuple[int, Sequence[int]], ...] = ()):
-        self.rows = rows  # (pivot column, row) pairs
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    def absorb(self, vecs: Iterable[Sequence[int]]) -> Echelon:
-        """The echelon of these rows and vecs."""
-        rows = list(self.rows)
-        _reduce(rows, vecs)
-        return Echelon(tuple(rows))
 
 
 def integer_rank(rows: Sequence[Sequence[int]]) -> int:

@@ -174,12 +174,11 @@ class _MaskedRanks:
     supports; a mask of at most one row, or whose support lies in one
     column, has rank 1 unless that support is empty, and only the others
     are eliminated.  rank checks the union against the valid slots on
-    every call, a memo hit too; read does not, for a caller that has
-    checked a mask holding every row it reads.  A nonzero coefficient
-    outside a valid slot would mean the module element escapes the
-    ambient free module, which the construction makes impossible; it is
-    still checked.  Past that check every invalid column is zero, so the
-    full-width rows have the restricted rank.
+    every call, a memo hit too.  A nonzero coefficient outside a valid
+    slot would mean the module element escapes the ambient free module,
+    which the construction makes impossible; it is still checked.  Past
+    that check every invalid column is zero, so the full-width rows have
+    the restricted rank.
     """
 
     def __init__(self, vectors):
@@ -188,25 +187,23 @@ class _MaskedRanks:
                           for v in vectors]
         self._memo: dict[int, tuple[int, int]] = {}
 
-    def _fill(self, mask: int) -> tuple[int, int]:
-        """Rank and support union of the rows in mask, memoized."""
-        picked, support, rest = [], 0, mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            picked.append(self.vectors[i])
-            support |= self._supports[i]
-            rest ^= low
-        if mask & (mask - 1) and support & (support - 1):
-            rank = integer_rank(picked)
-        else:  # one row or one column: rank 1 unless every entry is zero
-            rank = 1 if support else 0
-        hit = self._memo[mask] = (rank, support)
-        return hit
-
     def rank(self, mask: int, valid: int) -> int:
         """Rank of the rows in mask restricted to the valid slots."""
-        rank, support = self._memo.get(mask) or self._fill(mask)
+        hit = self._memo.get(mask)
+        if hit is None:
+            picked, support, rest = [], 0, mask
+            while rest:
+                low = rest & -rest
+                i = low.bit_length() - 1
+                picked.append(self.vectors[i])
+                support |= self._supports[i]
+                rest ^= low
+            if mask & (mask - 1) and support & (support - 1):
+                rank = integer_rank(picked)
+            else:  # one row or one column: rank 1 unless every entry is zero
+                rank = 1 if support else 0
+            hit = self._memo[mask] = (rank, support)
+        rank, support = hit
         bad = support & ~valid
         if bad:
             slot = (bad & -bad).bit_length() - 1
@@ -215,11 +212,6 @@ class _MaskedRanks:
             raise OracleError(f"derivative row has coefficient {coeff} "
                               f"in invalid slot {slot}")
         return rank
-
-    def read(self, mask: int) -> int:
-        """Rank of the rows in mask, unchecked: the caller has passed a
-        mask holding them all through rank in this degree."""
-        return (self._memo.get(mask) or self._fill(mask))[0]
 
 
 @lru_cache(maxsize=None)
@@ -417,11 +409,9 @@ def relation_module_lengths(S: NumericalSemigroup,
         n1, lifted = over_s1 & blown, over_s1 & ~blown
         orig = key >> orig_at << n_blown
         resc = (key >> resc_at & resc_bits) << n_blown
-        # the class's one slot check, on the union of its five masks: the
-        # joint mask itself when S lies in S1 and 2q in S1, as they do
-        rows.rank(over_s1 | resc | orig, valid)
-        r_orig, r_resc, r_lift, r_n1, r_joint = map(
-            rows.read, (orig, resc, lifted, n1, over_s1))
+        r_orig, r_resc, r_lift, r_n1, r_joint = [
+            rows.rank(mask, valid)
+            for mask in (orig, resc, lifted, n1, over_s1)]
         if r_joint != r_n1:
             raise OracleError(
                 f"containment violation: lifted rescaled module escapes the "

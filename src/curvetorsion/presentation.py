@@ -211,17 +211,16 @@ def minimal_presentation(gen_tuple: GeneratorTuple,
 
 
 def _weight_monoid(weights: tuple[int, ...], top: int) -> int:
-    """The sums of the weights up to top, 0 included, as a bitmask: a
-    fixpoint of ORing in the mask shifted by each weight and its
-    doublings, read off the weights alone."""
+    """The sums of the weights up to top, 0 included, as a bitmask: one
+    pass ORs in the mask shifted by each weight and its doublings, read
+    off the weights alone.  A mask closed under one weight stays closed
+    under it while later weights are added, so one pass suffices."""
     full = (1 << (top + 1)) - 1
-    sums, grown = 0, 1
-    while grown != sums:
-        sums = grown
-        for w in weights:
-            while w <= top:
-                grown |= grown << w & full
-                w <<= 1
+    sums = 1
+    for w in weights:
+        while w <= top:
+            sums |= sums << w & full
+            w <<= 1
     return sums
 
 

@@ -120,17 +120,17 @@ class NumericalSemigroup:
 @lru_cache(maxsize=None)
 def _build(values: tuple[int, ...]) -> NumericalSemigroup:
     """The semigroup generated by values, sieved as the closure of 0
-    under each value.  The bound doubles until the top multiplicity-many
-    values are all members; from there on everything is a member."""
-    q = values[0]
-    bound = 2 * max(values) + 2
-    while True:
-        member = 1
-        for g in values:
-            member = _closure(member, g, bound)
-        if member >> (bound + 1 - q) == (1 << q) - 1:
-            return NumericalSemigroup(member | -(1 << (bound + 1)))
-        bound *= 2
+    under each value up to Schur's bound (q - 1)(max - 1) on the
+    conductor (Brauer, Amer. J. Math. 64, 1942); from there on everything
+    is a member.  The bound is taken over the shortest prefix of gcd 1,
+    whose semigroup lies inside this one, so a large redundant value
+    does not widen the sieve."""
+    last = next(v for i, v in enumerate(values) if gcd(*values[:i + 1]) == 1)
+    top = (values[0] - 1) * (last - 1)
+    member = 1
+    for g in values:
+        member = _closure(member, g, top)
+    return NumericalSemigroup(member | -(1 << top))
 
 
 def from_generators(values: Iterable[int]) -> NumericalSemigroup:

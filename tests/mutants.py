@@ -68,7 +68,7 @@ T_SPAN = T_PROPS + "test_span_values_of_any_semigroup_and_bound"
 MUTANTS = [
     # the generation check on bit-sliced masks over every degree at once
     Mutant("weight sums start at their fixpoint", PRES,
-           "    sums, grown = 0, 1\n", "    sums, grown = 1, 1\n",
+           "    sums = 1\n", "    sums = 0\n",
            (T_PRES + "test_support_sets_match_brute_force",
             T_PROPS + "test_support_sets_of_any_weight_tuple")),
     Mutant("used positions left as the doubled-weight edge", PRES,
@@ -133,6 +133,12 @@ MUTANTS = [
            "if ((det & -det).bit_length() - 1) // K != base_sum - n * lo:",
            "if False:",
            (T_IDEALS + "test_kaehler_self_check_fires_on_a_planted_greedy_total",)),
+    Mutant("greedy basis adds d for a dependent row", IDEALS,
+           "total += d * (len(basis) - rank)",
+           "total += d * (len(basis) - rank or len(basis) < len(vec))",
+           (T_IDEALS + "test_differents_pinned",
+            T_IDEALS + "test_fitting_degrees_match_exhaustive_minor_search",
+            T_IDEALS + "test_fitting_degrees_match_reference_search_on_the_corpus")),
     Mutant("Bareiss divides by the current pivot", LINALG,
            "row[k + 1:] = [(lead[k] * a - row[k] * b) // prev",
            "row[k + 1:] = [(lead[k] * a - row[k] * b) // lead[k]",
@@ -294,9 +300,14 @@ MUTANTS = [
             T_IDEALS + "test_trace_dual_colength_identity")),
     # membership as one int: the sieve, the generator walk, the Apery
     # mask and the enumeration's children
-    Mutant("sieve trusts its first bound", SEMIGROUP,
-           "if member >> (bound + 1 - q) == (1 << q) - 1:",
-           "if True:",
+    Mutant("sieve tops out two short of Schur's bound", SEMIGROUP,
+           "top = (values[0] - 1) * (last - 1)",
+           "top = (values[0] - 1) * (last - 1) - 2",
+           (T_SEMI + "test_pinned_invariants",
+            T_SEMI + "test_membership_matches_brute_force")),
+    Mutant("Schur's bound read off the first two values", SEMIGROUP,
+           "top = (values[0] - 1) * (last - 1)",
+           "top = (values[0] - 1) * (values[1 % len(values)] - 1)",
            (T_SEMI + "test_pinned_invariants",
             T_SEMI + "test_membership_matches_brute_force")),
     Mutant("generator walk stops at c + q", SEMIGROUP,
@@ -420,9 +431,9 @@ MUTANTS = [
            "rank = 1 if mask else 0",
            (T_ORACLE + "test_masked_ranks_decide_one_row_or_one_column_"
             "from_the_supports",)),
-    Mutant("class slot check on the joint mask only", ORACLE,
-           "rows.rank(over_s1 | resc | orig, valid)",
-           "rows.rank(over_s1, valid)",
+    Mutant("original module's mask left unchecked", ORACLE,
+           "rows.rank(mask, valid)\n",
+           "rows.rank(mask, -1 if mask == orig else valid)\n",
            (T_ORACLE + "test_relation_module_slot_check_covers_every_mask",)),
     Mutant("original rows one degree off", ORACLE,
            "[(S, w + 2 * q) for w in resc_degrees]",

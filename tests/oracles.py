@@ -7,12 +7,13 @@ graded oracles, which take their inputs from the package and keep only
 the degree loops that the evaluation on degree classes replaced (their
 derivative rows they build from the relations, by derivative_rows), the
 pruned minor search that the Kaehler different's determinant replaced,
-which grows the package's Echelon one row at a time, the two routes
-that the whole-mask self-checks replaced, merge_relations_generate on
-the package's Betti bound and walk_complementary_module on its Apery
-set and value sets, value_set and values_up_to, which build a value set
-from a list of values and list one, the check_ functions that compare
-the package with these references, collect_campaign and run_cli.
+which grows an echelon one row at a time by the package's _reduce, the
+two routes that the whole-mask self-checks replaced,
+merge_relations_generate on the package's Betti bound and
+walk_complementary_module on its Apery set and value sets, value_set and
+values_up_to, which build a value set from a list of values and list
+one, the check_ functions that compare the package with these
+references, collect_campaign and run_cli.
 """
 
 from __future__ import annotations
@@ -611,10 +612,15 @@ def reference_fitting_minor_degrees(pres) -> tuple[int, ...]:
 
 
 def echelon_extend(echelon, vec):
-    """The Echelon with vec added, or None when vec is dependent; the
-    Echelon is persistent, so a search backtracks by dropping one."""
-    grown = echelon.absorb((vec,))
-    return grown if grown.rank > echelon.rank else None
+    """The echelon, a tuple of the package's (pivot column, row) pairs,
+    with vec added, or None when vec is dependent.  _reduce grows a list
+    copy, so the tuple is left as it was and a search backtracks by
+    dropping the grown one."""
+    from curvetorsion.linalg import _reduce
+
+    rows = list(echelon)
+    _reduce(rows, (vec,))
+    return tuple(rows) if len(rows) > len(echelon) else None
 
 
 def search_kaehler_different(S, pres):
@@ -624,7 +630,7 @@ def search_kaehler_different(S, pres):
     the greedy total plus the conductor; every total from there on lies
     in the tail.  covered is the ideal found so far, over row totals:
     each leaf ORs in S shifted by its total.  Each node extends an
-    Echelon of the rows chosen by one row.  A level stops once even its
+    echelon of the rows chosen by one row.  A level stops once even its
     lightest completion reaches the limit, and a row is skipped when
     every total its subtree can reach, reach[i + 1][need - 1] <<
     (t + d_i) with reach[i][k] the sums of k degrees of rows[i:], is
@@ -635,7 +641,6 @@ def search_kaehler_different(S, pres):
     from curvetorsion import value_set_of
     from curvetorsion import least_minor_degree
     from curvetorsion.ideals import _derivative_rows
-    from curvetorsion.linalg import Echelon
 
     if S.embdim == 1:
         return value_set_of(S)
@@ -669,7 +674,7 @@ def search_kaehler_different(S, pres):
             if grown is not None:
                 search(i + 1, grown, total + d, need - 1)
 
-    search(0, Echelon(), 0, n_vars)
+    search(0, (), 0, n_vars)
     col_sum = sum(S.min_generators[1:])
     values = [t - col_sum for t in range(base_sum, limit) if covered >> t & 1]
     return value_set(S, values, limit - col_sum)
@@ -894,10 +899,8 @@ def check_graded_oracles(curves) -> int:
 def check_masked_ranks(curves) -> int:
     """Assert that every rank the graded oracles take from _MaskedRanks,
     memo hits included, is bareiss_rank of the rows its mask picks, with
-    the rows picked here from the mask: restricted to its valid slots for
-    rank, and at full width for the unchecked read, whose rows a checked
-    mask of the same degree holds, so every invalid column of theirs is
-    zero.  The three oracles run past their caches on every curve, its
+    the rows picked here from the mask and restricted to its valid
+    slots.  The three oracles run past their caches on every curve, its
     minimal and blowup presentations and both tie-breaks; returns the
     number of ranks compared.  Torsion route a reads the memoized ledger,
     which is emptied first, so the count does not depend on what ran
@@ -905,7 +908,7 @@ def check_masked_ranks(curves) -> int:
     from curvetorsion import oracle
 
     oracle.relative_differential_dims.cache_clear()
-    real_rank, real_read = oracle._MaskedRanks.rank, oracle._MaskedRanks.read
+    real_rank = oracle._MaskedRanks.rank
     compared = 0
 
     def compare(self, rank, mask, valid):
@@ -915,9 +918,8 @@ def check_masked_ranks(curves) -> int:
         if (mask, valid) not in known:
             picked = [row for i, row in enumerate(self.vectors)
                       if mask >> i & 1]
-            keep = -1 if valid is None else valid
             known[mask, valid] = bareiss_rank(
-                [[x for j, x in enumerate(row) if keep >> j & 1]
+                [[x for j, x in enumerate(row) if valid >> j & 1]
                  for row in picked])
         assert rank == known[mask, valid], (self.vectors, mask, valid)
         compared += 1
@@ -925,8 +927,6 @@ def check_masked_ranks(curves) -> int:
 
     oracle._MaskedRanks.rank = lambda self, mask, valid: compare(
         self, real_rank(self, mask, valid), mask, valid)
-    oracle._MaskedRanks.read = lambda self, mask: compare(
-        self, real_read(self, mask), mask, None)
     try:
         for S in curves:
             for tiebreak in (False, True):
@@ -936,8 +936,7 @@ def check_masked_ranks(curves) -> int:
                 oracle.torsion_length.__wrapped__(S, tiebreak)
                 oracle.relation_module_lengths.__wrapped__(S, tiebreak)
     finally:
-        oracle._MaskedRanks.rank, oracle._MaskedRanks.read = \
-            real_rank, real_read
+        oracle._MaskedRanks.rank = real_rank
     return compared
 
 

@@ -243,7 +243,7 @@ def test_masked_ranks_decide_one_row_or_one_column_from_the_supports(
     assert [rows.rank(mask, 0b11) for mask in (0, 0b1, 0b101, 0b10, 0b1010,
                                                 0b1110, 0b10000)] == \
         [0, 0, 0, 1, 1, 1, 1]
-    assert rows.read(0b101) == 0
+    assert rows.rank(0b101, 0b11) == 0
     monkeypatch.undo()
     assert rows.rank(0b10010, 0b11) == 2
 
@@ -299,10 +299,10 @@ def test_relation_module_guards_fire_on_planted_faults(monkeypatch):
 
 
 def test_relation_module_slot_check_covers_every_mask(monkeypatch):
-    # the class's one slot check runs on the union of its five masks, not
-    # only on the joint one: plant the original module's rows in every
-    # degree from 0 on, where the joint mask lacks them and no slot is
-    # valid, and the check must name their slot before any rank is read
+    # each of a class's five masks is checked, not only the joint one:
+    # plant the original module's rows in every degree from 0 on, where
+    # the joint mask lacks them and no slot is valid, and the check must
+    # name their slot
     S = from_generators((4, 6, 7))
     m = presentation_of(S).mu
     real = oracle._degree_classes
@@ -324,9 +324,10 @@ def test_graded_oracles_match_the_per_degree_references():
 
 def test_masked_ranks_match_bareiss_through_genus_9():
     # the per-degree walks rank through _MaskedRanks too; here every rank
-    # it hands the oracles, checked or read unchecked, is compared with
-    # Bareiss elimination, which shares no code with the package's echelon
-    assert check_masked_ranks(enumerate_by_genus(9)) == 143122
+    # it hands the oracles, each checked against its valid slots, is
+    # compared with Bareiss elimination, which shares no code with the
+    # package's echelon
+    assert check_masked_ranks(enumerate_by_genus(9)) == 125854
 
 
 def test_differential_cutoff_violation_fires_on_a_planted_cutoff(

@@ -20,7 +20,7 @@ from curvetorsion import (GeneratorTuple, OracleError, Presentation,
                           from_generators, full_report, inverse,
                           minimal_presentation, presentation_of,
                           relations_generate, value_set_of)
-from curvetorsion.linalg import Echelon, integer_determinant, integer_rank
+from curvetorsion.linalg import integer_determinant, integer_rank
 from curvetorsion.oracle import _MaskedRanks, _span_values
 from curvetorsion.presentation import _joined
 from oracles import (bareiss_determinant, bareiss_rank, echelon_extend,
@@ -155,16 +155,17 @@ def test_zero_determinant_means_rank_deficient(matrix):
 
 @given(row_sequences())
 def test_echelon_extends_exactly_when_the_rank_grows(rows):
-    echelon = Echelon()
+    echelon = ()
     for i, row in enumerate(rows):
-        before = echelon.rows
+        before = [(pivot, list(r)) for pivot, r in echelon]
         grown = echelon_extend(echelon, row)
-        assert echelon.rows == before  # persistent: extend copies
+        # extend copies: the rows already stored are left as they were
+        assert [(pivot, list(r)) for pivot, r in echelon] == before
         grows = fraction_rank(rows[:i + 1]) > fraction_rank(rows[:i])
         assert (grown is not None) == grows
         if grown is not None:
             echelon = grown
-    assert echelon.rank == fraction_rank(rows)
+    assert len(echelon) == fraction_rank(rows)
 
 
 @settings(deadline=None, max_examples=60)

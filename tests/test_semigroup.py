@@ -18,8 +18,16 @@ INVARIANTS = {
     (3, 5, 7): ((1, 2, 4), 4, 5, 3, 3, False),
     (5, 7, 9, 11, 13): ((1, 2, 3, 4, 6, 8), 8, 9, 5, 5, False),
     (2, 9): ((1, 3, 5, 7), 7, 8, 2, 2, True),
-    # Frobenius past 2 * 7 + 2, the sieve's first bound
     (5, 7): ((1, 2, 3, 4, 6, 8, 9, 11, 13, 16, 18, 23), 23, 24, 5, 2, True),
+    # two generators meet Schur's bound (q - 1)(max - 1), the sieve's
+    # top, exactly: conductor 60
+    (7, 11): ((1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 13, 15, 16, 17, 19, 20, 23,
+               24, 26, 27, 30, 31, 34, 37, 38, 41, 45, 48, 52, 59),
+              59, 60, 7, 2, True),
+    # gcd(4, 6) = 2: Schur's bound over <4, 6> alone, 15, is below the
+    # conductor; the sieve reads it over the prefix of gcd 1
+    (4, 6, 21): ((1, 2, 3, 5, 7, 9, 11, 13, 15, 17, 19, 23), 23, 24, 4, 3,
+                 True),
 }
 
 GENUS_COUNTS = (1, 1, 2, 4, 7, 12, 23, 39, 67)
