@@ -10,13 +10,13 @@ oracle, and every oracle guards its own degree cutoffs.
 
 import types
 
-from .campaign import CampaignConfig, CampaignSummary, Tally, run_campaign
+from .campaign import Tally, run_campaign
 from .errors import DomainError, FormulaNotApplicable, OracleError
-from .formulas import (CHECK_NAMES, ChainResult, ChainStep, CurveReport,
-                       build_chain, ci_drop_lower_bound,
-                       complete_intersection_torsion, drop_formula_for,
-                       full_report, general_drop, nice_aci_drop,
-                       normalization_differential_colength, stable_ci_drop)
+from .formulas import (ChainResult, ChainStep, CurveReport, build_chain,
+                       ci_drop_lower_bound, complete_intersection_torsion,
+                       drop_formula_for, full_report, general_drop,
+                       nice_aci_drop, normalization_differential_colength,
+                       stable_ci_drop)
 from .ideals import (IdealError, ValueSet, complementary_module,
                      dedekind_different, different_inverse_gap, inverse,
                      kaehler_different, least_minor_degree, make_value_set,

@@ -10,7 +10,8 @@ never be conflated.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import Counter
+from typing import Iterable, Iterator
 
 from .errors import DomainError
 from .formulas import CurveReport, full_report
@@ -26,69 +27,43 @@ def corpus(max_genus: int, max_multiplicity: int | None = None
             yield S
 
 
-class CampaignConfig(NamedTuple):
-    max_genus: int
-    max_multiplicity: int | None = None
-    jobs: int = 1
-    fail_fast: bool = False
-    reverse_tiebreak: bool = False
-
-
-class CampaignSummary(NamedTuple):
-    """Aggregate outcome of one verification campaign."""
-
-    curves_examined: int
-    counts_by_genus: tuple[tuple[int, int], ...]
-    counts_by_classification: tuple[tuple[str, int], ...]
-    violations: tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]
-    oracle_errors: tuple[tuple[tuple[int, ...], str], ...]
-    min_singular_torsion: int | None
-    min_ci_drop_excess: int | None
-
-    @property
-    def all_pass(self) -> bool:
-        return not self.violations and not self.oracle_errors
-
-
 class Tally:
-    """Counts a campaign's outcomes as they stream past."""
+    """Counts a campaign's outcomes as they stream past: the curves
+    examined, reports by genus and by classification, violations and oracle
+    errors in order, the least singular torsion and CI drop excess."""
 
     def __init__(self) -> None:
-        self.by_genus: dict[int, int] = {}
-        self.by_class: dict[str, int] = {}
-        self.violations, self.oracle_errors = [], []
-        self.least_torsion = self.least_excess = None
+        self.curves_examined = 0
+        self.counts_by_genus: Counter[int] = Counter()
+        self.counts_by_classification: Counter[str] = Counter()
+        self.violations: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
+        self.oracle_errors: list[tuple[tuple[int, ...], str]] = []
+        self.min_singular_torsion = self.min_ci_drop_excess = None
 
     def reports(self, outcomes: Iterable) -> Iterator[CurveReport]:
         """The reports among a campaign's (generators, outcome) pairs, each
         pair counted as it passes."""
         for generators, r in outcomes:
+            self.curves_examined += 1
             if isinstance(r, str):
                 self.oracle_errors.append((generators, r))
                 continue
-            self.by_genus[r.genus] = self.by_genus.get(r.genus, 0) + 1
-            self.by_class[r.classification] = \
-                self.by_class.get(r.classification, 0) + 1
+            self.counts_by_genus[r.genus] += 1
+            self.counts_by_classification[r.classification] += 1
             if r.failed:
                 self.violations.append((r.generators, r.failed))
             if r.classification != "regular":
                 t = r.torsion_length
-                if self.least_torsion is None or t < self.least_torsion:
-                    self.least_torsion = t
+                if self.min_singular_torsion is None \
+                        or t < self.min_singular_torsion:
+                    self.min_singular_torsion = t
                 if r.deviation == 0:
                     excess = r.torsion_drop \
                         - (r.embedding_dimension - 1) * r.multiplicity
-                    if self.least_excess is None or excess < self.least_excess:
-                        self.least_excess = excess
+                    if self.min_ci_drop_excess is None \
+                            or excess < self.min_ci_drop_excess:
+                        self.min_ci_drop_excess = excess
             yield r
-
-    def summary(self) -> CampaignSummary:
-        """The summary of the outcomes counted so far."""
-        return CampaignSummary(
-            sum(self.by_genus.values()) + len(self.oracle_errors),
-            tuple(sorted(self.by_genus.items())),
-            tuple(sorted(self.by_class.items())), tuple(self.violations),
-            tuple(self.oracle_errors), self.least_torsion, self.least_excess)
 
 
 def _examine(args: tuple[tuple[int, ...], bool]):
@@ -101,33 +76,34 @@ def _examine(args: tuple[tuple[int, ...], bool]):
         return generators, f"{type(exc).__name__}: {exc}"
 
 
-def run_campaign(config: CampaignConfig
+def run_campaign(max_genus: int, max_multiplicity: int | None = None,
+                 jobs: int = 1, fail_fast: bool = False,
+                 reverse_tiebreak: bool = False
                  ) -> Iterator[tuple[tuple[int, ...], CurveReport | str]]:
-    """Verify every curve in the configured corpus.
+    """Verify every curve of corpus(max_genus, max_multiplicity).
 
     Yields (generators, outcome) in enumeration order as each curve is
     done: its CurveReport, or the message of the domain error that stopped
     it.  With fail_fast the stream ends right after the first violation or
-    error.  Order and content are deterministic for a given configuration.
+    error.  Order and content are deterministic for given settings.
     """
-    jobs = [(S.min_generators, config.reverse_tiebreak)
-            for S in corpus(config.max_genus, config.max_multiplicity)]
+    curves = [(S.min_generators, reverse_tiebreak)
+              for S in corpus(max_genus, max_multiplicity)]
     # a worker without a curve would be forked for nothing
-    workers = min(config.jobs, len(jobs))
+    workers = min(jobs, len(curves))
     if workers > 1:
         # imported here so that serial runs never load the pool stack
         # (multiprocessing, socket, pickle, subprocess, logging)
         from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(max_workers=workers)
-        results = executor.map(_examine, jobs, chunksize=4)
+        results = executor.map(_examine, curves, chunksize=4)
     else:
         executor = None
-        results = map(_examine, jobs)
+        results = map(_examine, curves)
     try:
         for generators, outcome in results:
             yield generators, outcome
-            if config.fail_fast and (isinstance(outcome, str)
-                                     or outcome.failed):
+            if fail_fast and (isinstance(outcome, str) or outcome.failed):
                 return
     finally:
         if executor is not None:

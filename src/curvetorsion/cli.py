@@ -11,10 +11,11 @@ runs; machine formats keep stdout pure and push summaries to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain as chained
 
-from .campaign import CampaignConfig, Tally, corpus, run_campaign
+from .campaign import Tally, corpus, run_campaign
 from .errors import DomainError
 from .formulas import ChainResult, CurveReport, build_chain, full_report
 from .semigroup import from_generators
@@ -161,23 +162,22 @@ def _emit(fmt: str, lines, records, header, rows, notes=()) -> None:
 
 def _summary_lines(tally: Tally):
     """A sweep's closing notes, read once its stream has ended."""
-    summary = tally.summary()
-    yield f"curves examined: {summary.curves_examined}"
-    yield f"identity violations: {len(summary.violations)}"
-    yield f"oracle errors: {len(summary.oracle_errors)}"
-    for genus, count in summary.counts_by_genus:
+    yield f"curves examined: {tally.curves_examined}"
+    yield f"identity violations: {len(tally.violations)}"
+    yield f"oracle errors: {len(tally.oracle_errors)}"
+    for genus, count in sorted(tally.counts_by_genus.items()):
         yield f"genus {genus}: {count} curves"
-    for label, count in summary.counts_by_classification:
+    for label, count in sorted(tally.counts_by_classification.items()):
         yield f"class {label}: {count} curves"
-    if summary.min_singular_torsion is not None:
+    if tally.min_singular_torsion is not None:
         yield (f"least torsion among singular curves: "
-               f"{summary.min_singular_torsion}")
-    if summary.min_ci_drop_excess is not None:
+               f"{tally.min_singular_torsion}")
+    if tally.min_ci_drop_excess is not None:
         yield (f"least complete-intersection drop excess: "
-               f"{summary.min_ci_drop_excess}")
-    for generators, failed in summary.violations:
+               f"{tally.min_ci_drop_excess}")
+    for generators, failed in tally.violations:
         yield f"violated by {_curve_label(generators)}: " + " ".join(failed)
-    for generators, message in summary.oracle_errors:
+    for generators, message in tally.oracle_errors:
         yield f"oracle error on {_curve_label(generators)}: {message}"
 
 
@@ -194,17 +194,15 @@ def analyze(args: argparse.Namespace) -> int:
 def verify(args: argparse.Namespace) -> int:
     """Verify the whole corpus up to a genus bound."""
     tally = Tally()
-    reports = tally.reports(run_campaign(CampaignConfig(
-        max_genus=args.max_genus, max_multiplicity=args.max_multiplicity,
-        jobs=args.jobs, fail_fast=args.fail_fast,
-        reverse_tiebreak=args.reverse_tiebreak)))
+    reports = tally.reports(run_campaign(
+        args.max_genus, args.max_multiplicity, args.jobs, args.fail_fast,
+        args.reverse_tiebreak))
     _emit(args.fmt, lines=chained(map(_verify_line, reports),
                                   _summary_lines(tally)),
           records=map(CurveReport.to_dict, reports),
           header=_CSV_HEADER, rows=_csv_rows(reports),
           notes=_summary_lines(tally))
-    summary = tally.summary()
-    return 1 if summary.oracle_errors else 2 if summary.violations else 0
+    return 1 if tally.oracle_errors else 2 if tally.violations else 0
 
 
 def enumerate_cmd(args: argparse.Namespace) -> int:
@@ -313,12 +311,16 @@ def main(argv=None) -> None:
     """Entry point mapping every failure to the documented exit codes.
 
     Violations exit 2; anything that keeps the tool from finishing the
-    check (bad usage, invalid curve, oracle failure, an interrupt) exits 1.
+    check (bad usage, invalid curve, oracle failure, an interrupt, a
+    closed stdout) exits 1.
     """
     try:
         run, args = _parse(argv)
         code = run(args)
-    except (KeyboardInterrupt, EOFError):
+    except (KeyboardInterrupt, EOFError, BrokenPipeError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the output nobody reads would fail again at the exit flush
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: aborted", file=sys.stderr)
         sys.exit(1)
     except DomainError as exc:

@@ -193,32 +193,6 @@ class CurveReport(NamedTuple):
         return out
 
 
-CHECK_NAMES = (
-    "torsion_routes_match",
-    "blowup_torsion_routes_match",
-    "exactness_defect_zero",
-    "blowup_exactness_defect_zero",
-    "normalization_colength_matches_genus",
-    "blowup_colength_matches_gap_count",
-    "kaehler_equals_dedekind",
-    "blowup_torsion_via_base_presentation",
-    "differential_drop_identity",
-    "general_drop_identity",
-    "rescaled_sandwich_length",
-    "torsion_positive_when_singular",
-    "ci_torsion_formula",
-    "ci_projective_dimension_split",
-    "ci_drop_decomposition",
-    "ci_drop_via_lifted_module",
-    "ci_drop_lower_bound",
-    "ci_different_gap_zero",
-    "aci_torsion_formula",
-    "stable_ci_drop_formula",
-    "nice_aci_drop_formula",
-    "chain_telescopes",
-)
-
-
 def full_report(S: NumericalSemigroup,
                 reverse_tiebreak: bool = False) -> CurveReport:
     """Compute every quantity and evaluate every applicable identity.
@@ -227,7 +201,6 @@ def full_report(S: NumericalSemigroup,
     singularity stay None, and so do the inverse different gap and the
     relation-module lengths.
     """
-    checks: dict[str, bool | None] = {name: None for name in CHECK_NAMES}
     step = blowup(S)
     S1 = step.transformed
     tor = torsion_length(S, reverse_tiebreak)
@@ -244,54 +217,56 @@ def full_report(S: NumericalSemigroup,
     q = S.multiplicity
     label = classify_transform(S)
     drop = tor.length - tor1.length
-    gap = lengths = None
-
-    checks["torsion_routes_match"] = tor.route_a == tor.route_b
-    checks["exactness_defect_zero"] = defect == 0
-    checks["normalization_colength_matches_genus"] = \
-        genus_via_derivative_spans(S) == S.genus
-    checks["kaehler_equals_dedekind"] = dk == dedekind_different(S)
-    checks["chain_telescopes"] = build_chain(S, reverse_tiebreak).telescopes
-
-    if S.embdim > 1:
+    singular = S.embdim > 1
+    ci = singular and deviation(S) == 0
+    # the oracles run in a fixed order, these two before the relation-module
+    # lengths, so a curve that more than one of them fails reports the first
+    dedekind = dedekind_different(S)
+    chain = build_chain(S, reverse_tiebreak)
+    gap = lengths = predicted_drop = None
+    if singular:
         lengths = relation_module_lengths(S, reverse_tiebreak)
         gap = different_inverse_gap(S, pres)
         predicted_drop = general_drop(S, reverse_tiebreak)
-        checks["blowup_torsion_routes_match"] = tor1.route_a == tor1.route_b
-        checks["blowup_exactness_defect_zero"] = defect1 == 0
-        checks["blowup_colength_matches_gap_count"] = \
-            colength_via_derivative_spans(S, S1) == away
-        checks["blowup_torsion_via_base_presentation"] = \
-            tor1.length == omega1.total \
-            - normalization_differential_colength(S) - defect1
-        checks["differential_drop_identity"] = \
-            omega.total - omega1.total == predicted_drop
-        checks["general_drop_identity"] = drop == predicted_drop
-        checks["rescaled_sandwich_length"] = \
-            lengths.rescaled_over_original == 2 * n_vars * q
-        checks["torsion_positive_when_singular"] = tor.length > 0
 
-        if deviation(S) == 0:
-            checks["ci_torsion_formula"] = \
-                tor.length == complete_intersection_torsion(S)
-            checks["ci_projective_dimension_split"] = \
-                omega.total == 2 * S.genus \
-                + normalization_differential_colength(S)
-            checks["ci_drop_decomposition"] = \
-                lengths.blowup_over_rescaled == lengths.blowup_over_lifted \
-                + n_vars * away
-            checks["ci_drop_via_lifted_module"] = \
-                drop == lengths.blowup_over_lifted + n_vars * q
-            checks["ci_drop_lower_bound"] = drop >= ci_drop_lower_bound(S)
-            checks["ci_different_gap_zero"] = gap == 0
-        if deviation(S) == 1:
-            checks["aci_torsion_formula"] = \
-                tor.length == genus_via_derivative_spans(S) + S.genus + gap
-        if label == "stable CI":
-            checks["stable_ci_drop_formula"] = drop == stable_ci_drop(S)
-        if label == "nice ACI":
-            checks["nice_aci_drop_formula"] = \
-                drop == nice_aci_drop(S, reverse_tiebreak)
+    checks = {
+        "torsion_routes_match": tor.route_a == tor.route_b,
+        "blowup_torsion_routes_match":
+            tor1.route_a == tor1.route_b if singular else None,
+        "exactness_defect_zero": defect == 0,
+        "blowup_exactness_defect_zero": defect1 == 0 if singular else None,
+        "normalization_colength_matches_genus":
+            genus_via_derivative_spans(S) == S.genus,
+        "blowup_colength_matches_gap_count":
+            colength_via_derivative_spans(S, S1) == away if singular else None,
+        "kaehler_equals_dedekind": dk == dedekind,
+        "blowup_torsion_via_base_presentation": tor1.length == omega1.total
+            - normalization_differential_colength(S) - defect1
+            if singular else None,
+        "differential_drop_identity":
+            omega.total - omega1.total == predicted_drop if singular else None,
+        "general_drop_identity": drop == predicted_drop if singular else None,
+        "rescaled_sandwich_length": lengths.rescaled_over_original
+            == 2 * n_vars * q if singular else None,
+        "torsion_positive_when_singular": tor.length > 0 if singular else None,
+        "ci_torsion_formula":
+            tor.length == complete_intersection_torsion(S) if ci else None,
+        "ci_projective_dimension_split": omega.total == 2 * S.genus
+            + normalization_differential_colength(S) if ci else None,
+        "ci_drop_decomposition": lengths.blowup_over_rescaled
+            == lengths.blowup_over_lifted + n_vars * away if ci else None,
+        "ci_drop_via_lifted_module":
+            drop == lengths.blowup_over_lifted + n_vars * q if ci else None,
+        "ci_drop_lower_bound": drop >= ci_drop_lower_bound(S) if ci else None,
+        "ci_different_gap_zero": gap == 0 if ci else None,
+        "aci_torsion_formula": tor.length == genus_via_derivative_spans(S)
+            + S.genus + gap if deviation(S) == 1 else None,
+        "stable_ci_drop_formula":
+            drop == stable_ci_drop(S) if label == "stable CI" else None,
+        "nice_aci_drop_formula": drop == nice_aci_drop(S, reverse_tiebreak)
+            if label == "nice ACI" else None,
+        "chain_telescopes": chain.telescopes,
+    }
 
     module_lengths = (lengths._asdict() if lengths is not None else
                       dict.fromkeys(RelationModuleLengths._fields))

@@ -48,6 +48,7 @@ ORACLE = "src/curvetorsion/oracle.py"
 SEMIGROUP = "src/curvetorsion/semigroup.py"
 CLI = "src/curvetorsion/cli.py"
 CAMPAIGN = "src/curvetorsion/campaign.py"
+FORMULAS = "src/curvetorsion/formulas.py"
 LINALG = "src/curvetorsion/linalg.py"
 
 T_PRES = "tests/test_presentation.py::"
@@ -59,6 +60,7 @@ T_ORACLE = "tests/test_oracle.py::"
 T_VALUES = "tests/test_value_sets.py::test_value_sets_match_the_set_references"
 T_CLI = "tests/test_cli.py::"
 T_CAMPAIGN = "tests/test_campaign.py::"
+T_FORMULAS = "tests/test_formulas.py::"
 # the membership-test presentation against the factorization reference
 T_MINIMAL = (
     T_PRES + "test_minimal_presentation_matches_the_factorization_reference",
@@ -164,8 +166,8 @@ MUTANTS = [
            'print(f"error: {message}", file=sys.stderr)\n        sys.exit(2)',
            (T_CLI + "test_usage_errors_exit_one",)),
     Mutant("json imported at start-up", CLI,
-           "import argparse\nimport sys\n",
-           "import argparse\nimport json\nimport sys\n",
+           "import argparse\nimport os\nimport sys\n",
+           "import argparse\nimport json\nimport os\nimport sys\n",
            (T_CLI + "test_human_commands_load_only_what_they_use",)),
     Mutant("abbreviations allowed", CLI,
            "description=run.__doc__, allow_abbrev=False)",
@@ -173,25 +175,31 @@ MUTANTS = [
            (T_CLI + "test_usage_errors_exit_one",)),
     Mutant("pool not capped at the corpus size", CAMPAIGN,
            "ProcessPoolExecutor(max_workers=workers)",
-           "ProcessPoolExecutor(max_workers=config.jobs)",
+           "ProcessPoolExecutor(max_workers=jobs)",
            (T_CAMPAIGN + "test_campaign_pool_is_capped_at_the_corpus_size",)),
     # the sweep streamed: each outcome written as it arrives, and counted
     # by the tally on its way
     Mutant("fail-fast stop before the violator's yield", CAMPAIGN,
            """            yield generators, outcome
-            if config.fail_fast and (isinstance(outcome, str)
-                                     or outcome.failed):
+            if fail_fast and (isinstance(outcome, str) or outcome.failed):
                 return
 """,
-           """            if config.fail_fast and (isinstance(outcome, str)
-                                     or outcome.failed):
+           """            if fail_fast and (isinstance(outcome, str) or outcome.failed):
                 return
             yield generators, outcome
 """,
            (T_CAMPAIGN + "test_campaign_fail_fast_stops_at_first_violation",)),
     Mutant("errors left out of the curves examined", CAMPAIGN,
-           "sum(self.by_genus.values()) + len(self.oracle_errors),",
-           "sum(self.by_genus.values()),",
+           """            self.curves_examined += 1
+            if isinstance(r, str):
+                self.oracle_errors.append((generators, r))
+                continue
+""",
+           """            if isinstance(r, str):
+                self.oracle_errors.append((generators, r))
+                continue
+            self.curves_examined += 1
+""",
            (T_CAMPAIGN + "test_campaign_fail_fast_stops_at_first_violation",
             T_CAMPAIGN + "test_campaign_records_a_domain_error_and_goes_on")),
     Mutant("sweep collected before writing", CLI,
@@ -199,6 +207,10 @@ MUTANTS = [
            "    reports = list(reports)\n"
            "    _emit(args.fmt, lines=chained(map(_verify_line, reports),",
            (T_CLI + "test_interrupted_sweep_keeps_the_records_already_written",)),
+    Mutant("closed stdout left to a traceback", CLI,
+           "(KeyboardInterrupt, EOFError, BrokenPipeError)",
+           "(KeyboardInterrupt, EOFError)",
+           (T_CLI + "test_closed_stdout_ends_a_sweep",)),
     Mutant("pool left running when the stream is closed", CAMPAIGN,
            "executor.shutdown(cancel_futures=True)",
            "executor.shutdown(wait=False, cancel_futures=True)",
@@ -212,6 +224,21 @@ MUTANTS = [
            "if not weights or any(w < 1 for w in weights):",
            "if False:",
            (T_PRES + "test_generator_tuple_validation",)),
+    # the checks table: one literal in report order, None where a check
+    # does not apply
+    Mutant("two adjacent checks swapped", FORMULAS,
+           """        "exactness_defect_zero": defect == 0,
+        "blowup_exactness_defect_zero": defect1 == 0 if singular else None,
+""",
+           """        "blowup_exactness_defect_zero": defect1 == 0 if singular else None,
+        "exactness_defect_zero": defect == 0,
+""",
+           (T_CLI + "test_golden_transcripts",)),
+    Mutant("a CI check applied to every curve", FORMULAS,
+           '"ci_different_gap_zero": gap == 0 if ci else None,',
+           '"ci_different_gap_zero": gap == 0,',
+           (T_FORMULAS + "test_full_report_on_the_regular_curve",
+            T_CLI + "test_golden_transcripts")),
     # the minimal presentation from membership tests on G_d
     Mutant("wrong neighbour set", PRES,
            "new = _positions(weights, mask, d - weights[i]) & rest & ~comp",

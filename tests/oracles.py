@@ -1040,14 +1040,14 @@ def check_trace_duals(curves) -> int:
     return compared
 
 
-def collect_campaign(config):
-    """A whole campaign gathered from its stream: (summary, reports), the
+def collect_campaign(**settings):
+    """A whole campaign gathered from its stream: (tally, reports), the
     reports in enumeration order."""
     from curvetorsion import Tally, run_campaign
 
     tally = Tally()
-    reports = list(tally.reports(run_campaign(config)))
-    return tally.summary(), reports
+    reports = list(tally.reports(run_campaign(**settings)))
+    return tally, reports
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -23,7 +23,6 @@ from pathlib import Path
 import pytest
 
 from curvetorsion import (
-    CampaignConfig,
     blowup,
     build_chain,
     ci_drop_lower_bound,
@@ -78,10 +77,9 @@ class Checker:
 def campaign():
     """The exhaustive genus <= 8 sweep, run once and shared."""
     start = time.perf_counter()
-    summary, reports = collect_campaign(
-        CampaignConfig(max_genus=GENUS_LIMIT))
+    tally, reports = collect_campaign(max_genus=GENUS_LIMIT)
     elapsed = time.perf_counter() - start
-    return summary, reports, elapsed
+    return tally, reports, elapsed
 
 
 def test_criterion_1_worked_singletons():
@@ -193,15 +191,15 @@ def test_criterion_1_worked_singletons():
 
 
 def test_criterion_2_exhaustive_identity_campaign(campaign):
-    summary, reports, elapsed = campaign
+    tally, reports, elapsed = campaign
     check = Checker()
     check.holds(f"campaign under {TIME_LIMIT_SECONDS:.0f}s "
                 f"(took {elapsed:.1f}s)", elapsed < TIME_LIMIT_SECONDS)
-    check.equal("curves examined", summary.curves_examined, 156)
-    check.equal("oracle errors", summary.oracle_errors, ())
+    check.equal("curves examined", tally.curves_examined, 156)
+    check.equal("oracle errors", tally.oracle_errors, [])
 
     by_generators = {report.generators: report for report in reports}
-    offenders = dict(summary.violations)
+    offenders = dict(tally.violations)
     for generators, failed in offenders.items():
         check.equal(f"checks failed by {generators}",
                     failed, ("kaehler_equals_dedekind",))
@@ -223,11 +221,11 @@ def test_criterion_2_exhaustive_identity_campaign(campaign):
     check.equal("identity checks per curve",
                 {len(report.checks) for report in reports}, {22})
     check.equal("number of violations equals the deviation >= 2 count",
-                len(summary.violations), len(high_deviation))
+                len(tally.violations), len(high_deviation))
     check.equal("deviation >= 2 curves through genus 8",
                 len(high_deviation), 105)
     check.equal("first violation in enumeration order",
-                summary.violations[0][0] if summary.violations else None,
+                tally.violations[0][0] if tally.violations else None,
                 (4, 5, 6, 7))
 
     witness = by_generators.get((4, 5, 6, 7))
@@ -256,14 +254,14 @@ def test_genus_9_exhaustive_identity_campaign(campaign):
     # 274 curves of genus <= 9.  Requesting the genus <= 8 fixture first
     # lets this sweep reuse its caches.
     start = time.perf_counter()
-    summary, reports = collect_campaign(CampaignConfig(max_genus=9))
+    tally, reports = collect_campaign(max_genus=9)
     elapsed = time.perf_counter() - start
     check = Checker()
-    check.equal("curves examined", summary.curves_examined, 274)
+    check.equal("curves examined", tally.curves_examined, 274)
     check.equal("genus 9 curves (OEIS A007323)",
-                dict(summary.counts_by_genus).get(9), 118)
-    check.equal("oracle errors", summary.oracle_errors, ())
-    offenders = dict(summary.violations)
+                tally.counts_by_genus.get(9), 118)
+    check.equal("oracle errors", tally.oracle_errors, [])
+    offenders = dict(tally.violations)
     for generators, failed in offenders.items():
         check.equal(f"checks failed by {generators}",
                     failed, ("kaehler_equals_dedekind",))
@@ -274,7 +272,7 @@ def test_genus_9_exhaustive_identity_campaign(campaign):
     check.equal("deviation >= 2 curves through genus 9",
                 len(high_deviation), 206)
     check.equal("first violation in enumeration order",
-                summary.violations[0][0] if summary.violations else None,
+                tally.violations[0][0] if tally.violations else None,
                 (4, 5, 6, 7))
     check.finish("2 at genus 9",
                  f"274 curves in {elapsed:.1f}s; kaehler_equals_dedekind "
@@ -315,7 +313,7 @@ def test_criterion_3_enumeration_counts():
 
 
 def test_criterion_4_positivity_sweep_and_exit_code(campaign):
-    summary, reports, _ = campaign
+    tally, reports, _ = campaign
     check = Checker()
     singular = [report for report in reports
                 if report.classification != "regular"]
@@ -323,7 +321,7 @@ def test_criterion_4_positivity_sweep_and_exit_code(campaign):
     for report in singular:
         check.holds(f"torsion positive on {report.generators}",
                     report.torsion_length > 0)
-    check.equal("least singular torsion", summary.min_singular_torsion, 2)
+    check.equal("least singular torsion", tally.min_singular_torsion, 2)
     for report in singular:
         if report.deviation == 0:
             bound = ((report.embedding_dimension - 1)
@@ -332,7 +330,7 @@ def test_criterion_4_positivity_sweep_and_exit_code(campaign):
                         f"{report.torsion_drop} >= {bound} > 0",
                         report.torsion_drop >= bound > 0)
     check.equal("least CI drop excess over the bound",
-                summary.min_ci_drop_excess, 0)
+                tally.min_ci_drop_excess, 0)
 
     code, out, _ = run_cli("verify", "--max-genus", "3")
     check.equal("violation exit code", code, 2)
@@ -344,20 +342,19 @@ def test_criterion_4_positivity_sweep_and_exit_code(campaign):
 
 
 def test_criterion_5_oracle_self_consistency(campaign):
-    summary, _, _ = campaign
+    tally, _, _ = campaign
     check = Checker()
     check.equal("cutoff-window violations on the full corpus",
-                summary.oracle_errors, ())
+                tally.oracle_errors, [])
 
-    plain_summary, plain_reports = collect_campaign(
-        CampaignConfig(max_genus=6))
-    reversed_summary, reversed_reports = collect_campaign(
-        CampaignConfig(max_genus=6, reverse_tiebreak=True))
+    plain_tally, plain_reports = collect_campaign(max_genus=6)
+    reversed_tally, reversed_reports = collect_campaign(
+        max_genus=6, reverse_tiebreak=True)
     check.equal("tie-break reversal: reports",
                 [report.to_dict() for report in reversed_reports],
                 [report.to_dict() for report in plain_reports])
     check.equal("tie-break reversal: summary",
-                reversed_summary, plain_summary)
+                vars(reversed_tally), vars(plain_tally))
     for S in enumerate_by_genus(6):
         if S.embdim < 2:
             continue

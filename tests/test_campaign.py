@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import importlib
 import inspect
+import io
 import multiprocessing
 import pkgutil
+import re
+from pathlib import Path
 
 import curvetorsion
 import curvetorsion.campaign
-from curvetorsion import (CampaignConfig, CampaignSummary, CurveReport,
-                          DomainError, IdealError, build_chain,
-                          from_generators, run_campaign)
+from curvetorsion import (CurveReport, DomainError, IdealError, Tally,
+                          build_chain, from_generators, run_campaign)
 from oracles import collect_campaign, run_cli
 
 
@@ -45,42 +48,40 @@ def test_chain_of_regular_curve_is_empty():
 
 
 def test_campaign_genus_four_pinned():
-    summary, reports = collect_campaign(CampaignConfig(max_genus=4))
-    assert isinstance(summary, CampaignSummary)
-    assert summary.curves_examined == 15 and len(reports) == 15
-    assert summary.counts_by_genus == ((0, 1), (1, 1), (2, 2), (3, 4), (4, 7))
-    assert summary.counts_by_classification == (
-        ("ACI-not-nice", 1), ("nice ACI", 3), ("other", 3), ("regular", 1),
-        ("stable CI", 7))
-    assert summary.oracle_errors == ()
-    assert [gens for gens, _ in summary.violations] == [
+    tally, reports = collect_campaign(max_genus=4)
+    assert isinstance(tally, Tally)
+    assert tally.curves_examined == 15 and len(reports) == 15
+    assert tally.counts_by_genus == {0: 1, 1: 1, 2: 2, 3: 4, 4: 7}
+    assert tally.counts_by_classification == {
+        "ACI-not-nice": 1, "nice ACI": 3, "other": 3, "regular": 1,
+        "stable CI": 7}
+    assert tally.oracle_errors == []
+    assert [gens for gens, _ in tally.violations] == [
         (4, 5, 6, 7), (4, 6, 7, 9), (5, 6, 7, 8, 9)]
     assert all(names == ("kaehler_equals_dedekind",)
-               for _, names in summary.violations)
-    assert summary.min_singular_torsion == 2
-    assert summary.min_ci_drop_excess == 0
-    assert not summary.all_pass
+               for _, names in tally.violations)
+    assert tally.min_singular_torsion == 2
+    assert tally.min_ci_drop_excess == 0
+    assert tally.violations or tally.oracle_errors
 
 
 def test_campaign_reports_follow_enumeration_order():
-    _, reports = collect_campaign(CampaignConfig(max_genus=3))
+    _, reports = collect_campaign(max_genus=3)
     assert [r.generators for r in reports] == [
         (1,), (2, 3), (2, 5), (3, 4, 5), (2, 7), (3, 4), (3, 5, 7),
         (4, 5, 6, 7)]
 
 
 def test_campaign_all_pass_below_the_counterexamples():
-    summary, _ = collect_campaign(CampaignConfig(max_genus=2))
-    assert summary.all_pass
-    assert summary.violations == () and summary.oracle_errors == ()
+    tally, _ = collect_campaign(max_genus=2)
+    assert tally.violations == [] and tally.oracle_errors == []
 
 
 def test_campaign_multiplicity_filter():
-    summary, reports = collect_campaign(
-        CampaignConfig(max_genus=4, max_multiplicity=3))
-    assert summary.curves_examined == 10
+    tally, reports = collect_campaign(max_genus=4, max_multiplicity=3)
+    assert tally.curves_examined == 10
     assert all(r.multiplicity <= 3 for r in reports)
-    assert summary.all_pass
+    assert tally.violations == [] and tally.oracle_errors == []
 
 
 def _inject_ideal_error(monkeypatch):
@@ -97,31 +98,27 @@ def _inject_ideal_error(monkeypatch):
 
 
 def test_campaign_fail_fast_stops_at_first_violation(monkeypatch):
-    summary, reports = collect_campaign(
-        CampaignConfig(max_genus=4, fail_fast=True))
-    assert len(summary.violations) == 1
-    assert summary.violations[0][0] == (4, 5, 6, 7)
-    assert summary.curves_examined == 8  # enumeration position of the violator
+    tally, reports = collect_campaign(max_genus=4, fail_fast=True)
+    assert len(tally.violations) == 1
+    assert tally.violations[0][0] == (4, 5, 6, 7)
+    assert tally.curves_examined == 8  # enumeration position of the violator
     assert reports[-1].generators == (4, 5, 6, 7)
 
     # an oracle error stops the stream the same way, at its own position
     _inject_ideal_error(monkeypatch)
-    summary, reports = collect_campaign(
-        CampaignConfig(max_genus=4, fail_fast=True))
-    assert summary.oracle_errors == (((3, 5, 7), "IdealError: injected"),)
-    assert summary.violations == ()
-    assert summary.curves_examined == 7 and len(reports) == 6
+    tally, reports = collect_campaign(max_genus=4, fail_fast=True)
+    assert tally.oracle_errors == [((3, 5, 7), "IdealError: injected")]
+    assert tally.violations == []
+    assert tally.curves_examined == 7 and len(reports) == 6
     code, out, _ = run_cli("verify", "--max-genus", "4", "--fail-fast")
     assert code == 1
     assert "curves examined: 7" in out.splitlines()
 
 
 def test_campaign_parallel_matches_serial():
-    serial_summary, serial_reports = collect_campaign(
-        CampaignConfig(max_genus=3))
-    parallel_summary, parallel_reports = collect_campaign(
-        CampaignConfig(max_genus=3, jobs=2))
-    assert parallel_summary == serial_summary
+    serial_tally, serial_reports = collect_campaign(max_genus=3)
+    parallel_tally, parallel_reports = collect_campaign(max_genus=3, jobs=2)
+    assert vars(parallel_tally) == vars(serial_tally)
     assert [r.to_dict() for r in parallel_reports] == \
         [r.to_dict() for r in serial_reports]
 
@@ -144,32 +141,33 @@ def test_campaign_pool_is_capped_at_the_corpus_size(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)
-    serial = collect_campaign(CampaignConfig(max_genus=1))
-    assert collect_campaign(CampaignConfig(max_genus=1, jobs=64)) == serial
+    serial_tally, serial_reports = collect_campaign(max_genus=1)
+    pooled_tally, pooled_reports = collect_campaign(max_genus=1, jobs=64)
+    assert vars(pooled_tally) == vars(serial_tally)
+    assert pooled_reports == serial_reports
     assert started == [2]
-    collect_campaign(CampaignConfig(max_genus=0, jobs=64))
+    collect_campaign(max_genus=0, jobs=64)
     assert started == [2]
-    collect_campaign(CampaignConfig(max_genus=3, jobs=3))
+    collect_campaign(max_genus=3, jobs=3)
     assert started == [2, 3]
 
 
 def test_campaign_reverse_tiebreak_changes_no_length():
-    plain_summary, plain_reports = collect_campaign(
-        CampaignConfig(max_genus=3))
-    flipped_summary, flipped_reports = collect_campaign(
-        CampaignConfig(max_genus=3, reverse_tiebreak=True))
-    assert flipped_summary == plain_summary
+    plain_tally, plain_reports = collect_campaign(max_genus=3)
+    flipped_tally, flipped_reports = collect_campaign(max_genus=3,
+                                                      reverse_tiebreak=True)
+    assert vars(flipped_tally) == vars(plain_tally)
     assert [r.to_dict() for r in flipped_reports] == \
         [r.to_dict() for r in plain_reports]
 
 
 def test_campaign_records_a_domain_error_and_goes_on(monkeypatch):
     _inject_ideal_error(monkeypatch)
-    summary, reports = collect_campaign(CampaignConfig(max_genus=3))
-    assert summary.curves_examined == 8
+    tally, reports = collect_campaign(max_genus=3)
+    assert tally.curves_examined == 8
     assert len(reports) == 7
     assert (3, 5, 7) not in [r.generators for r in reports]
-    assert summary.oracle_errors == (((3, 5, 7), "IdealError: injected"),)
+    assert tally.oracle_errors == [((3, 5, 7), "IdealError: injected")]
 
     code, out, _ = run_cli("verify", "--max-genus", "3")
     assert code == 1
@@ -177,7 +175,7 @@ def test_campaign_records_a_domain_error_and_goes_on(monkeypatch):
 
 
 def test_closing_a_pooled_campaign_leaves_no_worker():
-    outcomes = run_campaign(CampaignConfig(max_genus=4, jobs=2))
+    outcomes = run_campaign(max_genus=4, jobs=2)
     generators, report = next(outcomes)
     assert generators == (1,) and isinstance(report, CurveReport)
     outcomes.close()
@@ -198,3 +196,19 @@ def test_every_package_exception_is_a_domain_error():
     for cls in defined - {DomainError}:
         assert issubclass(cls, DomainError), cls
         assert issubclass(cls, (ValueError, RuntimeError)), cls
+
+
+def test_readme_library_examples_run():
+    # the README's python blocks run in order in one namespace, and print
+    # what their comments state
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 2
+    namespace, printed = {}, []
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, namespace)
+        printed.append(out.getvalue().splitlines())
+    assert printed[0][:3] == ["10", "((1, 11070464), (2, 131072))", "<2,3>"]
+    assert len(printed[1]) == 51 and printed[1][-1] == "50"

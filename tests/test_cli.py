@@ -163,6 +163,23 @@ def test_interrupted_sweep_keeps_the_records_already_written(monkeypatch):
             (1, written, "error: aborted\n")
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_closed_stdout_ends_a_sweep(jobs):
+    """A reader that takes one record and closes the pipe ends the sweep:
+    exit 1, one line on stderr and no traceback, serial or pooled."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "curvetorsion", "verify", "--max-genus", "12",
+         "--jobs", jobs, "--format", "jsonl"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    try:
+        assert json.loads(proc.stdout.readline())["generators"] == [1]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert (proc.returncode, err) == (1, b"error: aborted\n")
+
+
 def test_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
@@ -358,17 +375,21 @@ print(codes, loaded, file=sys.stderr)
 _SERIAL = (["analyze", "3", "5", "7"], ["verify", "--max-genus", "3"])
 
 
+def _src_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(curvetorsion.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 def _probe(commands, modules) -> str:
     """Run the commands in one fresh interpreter; the exit codes and the
     named modules loaded at the end, as printed lists."""
-    src = str(Path(curvetorsion.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src if not path else src + os.pathsep + path)
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE.format(commands=commands,
                                              modules=modules)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_src_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stderr.splitlines()[-1]
 
